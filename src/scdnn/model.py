@@ -64,7 +64,11 @@ class ModelIOError(IOError):
 
 @dataclass
 class ModelConfig:
-    """Complete architecture description; serializable as key=value lines."""
+    """Complete architecture description; serializable as key=value lines.
+
+    `precision` "real32" keeps the model in float32, spectral blocks
+    included: they transform in complex64 on numpy >= 2.
+    """
 
     n_classes: int
     n_leads: int = 12

@@ -19,6 +19,20 @@ Because the ramps are smooth, phi and gamma receive exact gradients, which
 is the whole point: a hard 0/1 cutoff has zero derivative almost
 everywhere and cannot be trained.
 
+Both branches are linear in the spectrum, so the block runs as one fused
+op on the combined kernel
+
+    K[c, j] = W[c, j] * m[j],   m = lambda_low * sigma_low + lambda_high * sigma_high.
+
+For real f, real(idft(K * dft(f))) equals idft(H * dft(f)) with the
+Hermitian fold H[j] = (K[j] + conj(K[(L - j) % L])) / 2, whose half
+spectrum is all a real transform needs:
+
+    out = f + irfft(rfft(f) * H[..., :L // 2 + 1], n=L)
+
+The backward is closed form as well (one rfft and one irfft), with
+dK = sum_b dft(g) * conj(dft(f)) / L for an upstream gradient g.
+
 Bin indexing comes in two flavours. In ``symmetric`` mode (default) the
 mask argument is min(j, L - j), the unsigned frequency of bin j, so masks
 are conjugate-symmetric and filtered versions of a real signal stay real
@@ -30,19 +44,7 @@ inverse transform.
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    add,
-    as_complex,
-    mul,
-    real_part,
-    reshape,
-    sigmoid,
-    stable_sigmoid,
-    sub,
-)
-from .spectral import dft_t, idft_t
+from .autodiff import ShapeError, Tensor, _node, stable_sigmoid
 
 __all__ = [
     "MASK_INDEX_MODES",
@@ -53,8 +55,6 @@ __all__ = [
     "soft_mask",
     "hard_mask",
     "SatseBlock",
-    "satse_forward",
-    "satse_param_report",
 ]
 
 MASK_INDEX_MODES = ("literal", "symmetric")
@@ -155,44 +155,57 @@ class SatseBlock:
         """Apply the block to a (B, C, L) Tensor; output has the same shape.
 
         `swap_roles` exchanges which mask and which lambda feed each branch;
-        by symmetry of the combination the output is unchanged bit for bit.
+        the branches only meet in the two-term sum m, and IEEE addition
+        commutes, so the output is unchanged bit for bit.
         """
         if x.data.ndim != 3:
             raise ShapeError(f"satse expects a (B, C, L) input, got {x.data.shape}")
-        b, c, length = x.data.shape
+        _, c, length = x.data.shape
         if c != self.channels or length != self.length:
             raise ShapeError(
                 f"satse block built for (C={self.channels}, L={self.length}) "
                 f"got input (C={c}, L={length}); pad or rebuild"
             )
-        bins = Tensor(
-            effective_bins(length, self.mask_index_mode).astype(self.phi.dtype)
-        )
-        arg = mul(self.gamma, sub(bins, mul(self.phi, float(length))))
-        mask_high = sigmoid(arg)
-        mask_low = sub(1.0, mask_high)
-
-        spec = dft_t(x)
-        weight = reshape(as_complex(self.weight_re, self.weight_im),
-                         (1, c, length))
-
-        def branch(mask):
-            filtered = mul(mul(spec, reshape(mask, (1, 1, length))), weight)
-            return real_part(idft_t(filtered))
-
+        half = length // 2 + 1
+        phi, gamma = self.phi.data, self.gamma.data
+        lam_low, lam_high = self.lambda_low.data, self.lambda_high.data
+        offset = (effective_bins(length, self.mask_index_mode).astype(phi.dtype)
+                  - phi * length)
+        high = stable_sigmoid(gamma * offset)
+        low = 1.0 - high
         if swap_roles:
-            low_gain, high_gain = self.lambda_high, self.lambda_low
-            low_mask, high_mask = mask_high, mask_low
+            gain = lam_high * high + lam_low * low
         else:
-            low_gain, high_gain = self.lambda_low, self.lambda_high
-            low_mask, high_mask = mask_low, mask_high
-
-        enhancement = add(mul(low_gain, branch(low_mask)),
-                          mul(high_gain, branch(high_mask)))
-        out = add(x, enhancement)
-        if not np.all(np.isfinite(out.data)):
+            gain = lam_low * low + lam_high * high
+        weight = self.weight_re.data + 1j * self.weight_im.data
+        kernel = weight * gain
+        fold = (kernel[:, :half] + np.conj(kernel[:, -np.arange(half) % length])) / 2
+        spec = np.fft.rfft(x.data, axis=-1)
+        out = x.data + np.fft.irfft(spec * fold, n=length, axis=-1).astype(
+            x.dtype, copy=False)
+        if not np.all(np.isfinite(out)):
             raise FloatingPointError("satse output contains non-finite values")
-        return out
+
+        def backward(g):
+            gspec = np.fft.rfft(g, axis=-1)
+            dx = None
+            if x.requires_grad:
+                dx = g + np.fft.irfft(gspec * np.conj(fold), n=length, axis=-1)
+            # dK on the half spectrum; the upper bins of a real signal's
+            # spectrum are conjugate mirrors of bins 1 .. (L - 1) // 2.
+            dhalf = (gspec * np.conj(spec)).sum(axis=0) / length
+            dkernel = np.concatenate(
+                [dhalf, np.conj(dhalf[:, 1:length - half + 1][:, ::-1])], axis=-1)
+            dweight = dkernel * gain
+            dgain = (dkernel * np.conj(weight)).real.sum(axis=0)
+            darg = dgain * (lam_high - lam_low) * high * low
+            return (dx, -gamma * length * darg.sum(), (darg * offset).sum(),
+                    dweight.real, dweight.imag, (dgain * low).sum(),
+                    (dgain * high).sum())
+
+        return _node(out, (x, self.phi, self.gamma, self.weight_re,
+                           self.weight_im, self.lambda_low, self.lambda_high),
+                     backward)
 
     def parameters(self):
         return {
@@ -223,11 +236,3 @@ class SatseBlock:
                 "max_abs": float(np.abs(w).max()),
             },
         }
-
-
-def satse_forward(x, block, swap_roles=False):
-    return block.forward(x, swap_roles=swap_roles)
-
-
-def satse_param_report(block):
-    return block.report()

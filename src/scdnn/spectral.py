@@ -8,10 +8,9 @@ Conventions, fixed across the whole package:
 so ``idft(dft(x)) == x`` and Parseval reads ``sum |x|^2 == (1/L) sum |X|^2``.
 
 Lengths are never padded: padding would shift which bin a given frequency
-lands in, and downstream frequency masks are indexed by bin. Power-of-two
-lengths run an iterative radix-2 algorithm, short other lengths use the
-direct O(L^2) matrix, and everything else goes through the Bluestein
-chirp-z reduction to a power-of-two convolution.
+lands in, and downstream frequency masks are indexed by bin. The transforms
+are ``numpy.fft`` (pocketfft), which is exact at every length without
+padding.
 """
 
 from dataclasses import dataclass
@@ -22,106 +21,22 @@ from .autodiff import Tensor, _node
 
 __all__ = ["Spectrum", "dft", "idft", "dft_batch", "idft_batch", "dft_t", "idft_t"]
 
-_DIRECT_MAX = 128
-
-
-def _bit_reverse_indices(levels):
-    idx = np.arange(1 << levels)
-    rev = np.zeros_like(idx)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-_pow2_plans = {}
-
-
-def _pow2_plan(length, sign):
-    """Cached bit-reversal permutation and per-level twiddle factors."""
-    key = (length, sign)
-    plan = _pow2_plans.get(key)
-    if plan is None:
-        levels = length.bit_length() - 1
-        twiddles = [
-            np.exp(sign * 2j * np.pi * np.arange(1 << lv) / (2 << lv))
-            for lv in range(levels)
-        ]
-        plan = (_bit_reverse_indices(levels), twiddles)
-        _pow2_plans[key] = plan
-    return plan
-
-
-def _fft_pow2(rows, sign):
-    """Iterative radix-2 transform of (R, L) rows, L a power of two."""
-    r, length = rows.shape
-    rev, twiddles = _pow2_plan(length, sign)
-    a = rows[:, rev]
-    m = 2
-    for w in twiddles:
-        half = m // 2
-        v = a.reshape(r, length // m, m)
-        t = v[:, :, half:] * w
-        v[:, :, half:] = v[:, :, :half] - t
-        v[:, :, :half] += t
-        m *= 2
-    return a
-
-
-def _chirp(length, sign):
-    # n^2 reduced mod 2L in exact integers keeps the phase accurate for
-    # long signals, where pi*n^2/L would lose low-order bits.
-    n = np.arange(length, dtype=np.int64)
-    m2 = (n * n) % (2 * length)
-    return np.exp(sign * 1j * np.pi * m2 / length)
-
-
-def _fft_bluestein(rows, sign):
-    """Arbitrary-length transform via chirp-z over a radix-2 convolution."""
-    r, length = rows.shape
-    c = _chirp(length, sign)
-    m = 1 << (2 * length - 1).bit_length()
-
-    u = np.zeros((r, m), dtype=np.complex128)
-    u[:, :length] = rows * c
-
-    cc = np.conj(c)
-    v = np.zeros(m, dtype=np.complex128)
-    v[:length] = cc
-    v[m - length + 1:] = cc[1:][::-1]
-
-    conv = _fft_pow2(_fft_pow2(u, -1) * _fft_pow2(v[None, :], -1), +1) / m
-    return conv[:, :length] * c
-
-
-def _dft_direct(rows, sign):
-    length = rows.shape[1]
-    n = np.arange(length, dtype=np.int64)
-    angles = (n[:, None] * n[None, :]) % length
-    matrix = np.exp(sign * 2j * np.pi * angles / length)
-    return rows @ matrix
-
-
-def _transform_rows(rows, sign):
-    length = rows.shape[1]
-    if length == 1:
-        return rows.copy()
-    if length & (length - 1) == 0:
-        return _fft_pow2(rows, sign)
-    if length <= _DIRECT_MAX:
-        return _dft_direct(rows, sign)
-    return _fft_bluestein(rows, sign)
-
 
 def _transform(a, sign, axis=-1):
+    """Unnormalized transform along `axis`: forward for sign -1, inverse for +1.
+
+    The explicit cast keeps float32/complex64 input in complex64 on every
+    numpy version (numpy 1.x computes np.fft in double precision).
+    """
     a = np.asarray(a)
     if a.shape[axis] == 0:
         raise ValueError("transform length must be at least 1")
     out_dtype = np.complex64 if a.dtype in (np.float32, np.complex64) else np.complex128
-    moved = np.moveaxis(a, axis, -1)
-    rows = np.ascontiguousarray(moved, dtype=np.complex128).reshape(-1, moved.shape[-1])
-    out = _transform_rows(rows, sign).reshape(moved.shape)
-    return np.moveaxis(out, -1, axis).astype(out_dtype, copy=False)
+    if sign < 0:
+        out = np.fft.fft(a, axis=axis)
+    else:
+        out = np.fft.ifft(a, axis=axis, norm="forward")
+    return out.astype(out_dtype, copy=False)
 
 
 def dft(x, axis=-1):

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scdnn.autodiff import Graph, ShapeError, Tensor, grad_check
+from scdnn.autodiff import (
+    Graph,
+    ShapeError,
+    Tensor,
+    add,
+    as_complex,
+    grad_check,
+    mul,
+    real_part,
+    reshape,
+    sigmoid,
+    sub,
+)
 from scdnn.layers import cross_entropy, linear
 from scdnn.satse import (
     GAMMA_MIN,
@@ -9,10 +23,9 @@ from scdnn.satse import (
     SatseBlock,
     effective_bins,
     hard_mask,
-    satse_forward,
-    satse_param_report,
     soft_mask,
 )
+from scdnn.spectral import dft_t, idft_t
 
 
 def brute_force_pipeline(x, phi, gamma, weight, lam_low, lam_high, mode):
@@ -49,6 +62,98 @@ def brute_force_pipeline(x, phi, gamma, weight, lam_low, lam_high, mode):
             f_high = inv(weight[k] * (high * spec)).real
             out[n, k] = x[n, k] + lam_low * f_low + lam_high * f_high
     return out
+
+
+def composed_forward(block, x, swap_roles=False):
+    """The block as a chain of generic graph nodes: one forward transform,
+    two masked inverse transforms, and the gain-weighted sum of their real
+    parts. Oracle for the fused op in SatseBlock.forward."""
+    _, c, length = x.data.shape
+    bins = Tensor(effective_bins(length, block.mask_index_mode))
+    high = sigmoid(mul(block.gamma, sub(bins, mul(block.phi, float(length)))))
+    low = sub(1.0, high)
+    spec = dft_t(x)
+    weight = reshape(as_complex(block.weight_re, block.weight_im),
+                     (1, c, length))
+
+    def branch(mask):
+        filtered = mul(mul(spec, reshape(mask, (1, 1, length))), weight)
+        return real_part(idft_t(filtered))
+
+    terms = [(block.lambda_low, low), (block.lambda_high, high)]
+    if swap_roles:
+        terms.reverse()
+    (g1, m1), (g2, m2) = terms
+    return add(x, add(mul(g1, branch(m1)), mul(g2, branch(m2))))
+
+
+def random_block(rng, channels, length, mode, phi, gamma, lam_low, lam_high):
+    block = SatseBlock(channels, length, phi_init=phi, gamma_init=gamma,
+                       mask_index_mode=mode)
+    block.lambda_low.data[...] = lam_low
+    block.lambda_high.data[...] = lam_high
+    block.weight_re.data[:] = rng.normal(size=(channels, length))
+    block.weight_im.data[:] = rng.normal(size=(channels, length))
+    return block
+
+
+def output_and_grads(forward, block, x, upstream):
+    """Output, input gradient and all six parameter gradients of
+    sum(forward(x) * upstream)."""
+    xt = Tensor(x, requires_grad=True)
+    params = block.parameters()
+    for p in params.values():
+        p.grad = None
+    out = forward(xt)
+    (out * Tensor(upstream)).sum().backward()
+    return {"out": out.data, "x": xt.grad,
+            **{name: p.grad for name, p in params.items()}}
+
+
+def gradient_scales(block, x, upstream):
+    """Sum of the absolute values of the terms each parameter gradient adds.
+
+    The parameter gradients are sums over batch, channel and bin, and the
+    two branch gains enter with opposite signs. Rounding error in a sum is
+    bounded relative to the sum of its terms' magnitudes, not to the sum
+    itself, which can cancel to near zero (for example when the two gains
+    are almost equal), so relative errors are measured against these.
+    """
+    length = x.shape[-1]
+    phi, gamma = float(block.phi.data), float(block.gamma.data)
+    lam_low = abs(float(block.lambda_low.data))
+    lam_high = abs(float(block.lambda_high.data))
+    bins = effective_bins(length, block.mask_index_mode)
+    offset = bins - phi * length
+    high = soft_mask(bins, phi, gamma, length, "high", "literal")
+    low = 1.0 - high
+    # |dK| term by term: sum over the batch of |dft(g)| * |dft(x)| / L
+    dk = (np.abs(np.fft.fft(upstream)) * np.abs(np.fft.fft(x))).sum(axis=0) / length
+    weight = np.abs(block.weight_re.data + 1j * block.weight_im.data)
+    per_bin = (dk * weight).sum(axis=0)
+    slope = per_bin * high * low * (lam_low + lam_high)
+    weight_scale = (dk * (lam_low * low + lam_high * high)).max()
+    return {
+        "weight_re": weight_scale,
+        "weight_im": weight_scale,
+        "lambda_low": (per_bin * low).sum(),
+        "lambda_high": (per_bin * high).sum(),
+        "phi": gamma * length * slope.sum(),
+        "gamma": (slope * np.abs(offset)).sum(),
+    }
+
+
+def assert_matches_composition(block, x, upstream, swap_roles):
+    fused = output_and_grads(
+        lambda t: block.forward(t, swap_roles=swap_roles), block, x, upstream)
+    composed = output_and_grads(
+        lambda t: composed_forward(block, t, swap_roles), block, x, upstream)
+    assert fused.keys() == composed.keys()
+    scales = gradient_scales(block, x, upstream)
+    for name, want in composed.items():
+        scale = max(scales.get(name, np.abs(want).max()), np.finfo(np.float64).tiny)
+        err = np.abs(fused[name] - want).max() / scale
+        assert err <= 1e-12, f"{name}: relative error {err:.2e}"
 
 
 class TestMasks:
@@ -109,7 +214,7 @@ class TestSatseForward:
         x = rng.normal(size=(3, 4, 20))
         for mode in ("symmetric", "literal"):
             block = SatseBlock(4, 20, mask_index_mode=mode)
-            out = satse_forward(Tensor(x), block)
+            out = block.forward(Tensor(x))
             assert np.abs(out.data - x).max() < 1e-12
 
     def test_unit_weight_unit_gains_doubles_input(self):
@@ -242,7 +347,7 @@ class TestSatseGradients:
 
 class TestParamReport:
     def test_fresh_block_reports_defaults(self):
-        rep = satse_param_report(SatseBlock(4, 16))
+        rep = SatseBlock(4, 16).report()
         assert rep["phi"] == 0.4
         assert rep["gamma"] == 0.5
         assert rep["lambda_low"] == 0.0
@@ -263,3 +368,78 @@ class TestParamReport:
         block.clamp()
         assert block.report()["phi"] == 0.2
         assert not block.phi.requires_grad
+
+
+class TestFusedEquivalence:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 9, 31, 32, 63, 125, 250])
+    def test_matches_composition(self, length):
+        rng = np.random.default_rng(length)
+        for mode in ("symmetric", "literal"):
+            for swap_roles in (False, True):
+                block = random_block(rng, 3, length, mode, 0.3, 2.0, 0.7, -0.4)
+                x = rng.normal(size=(2, 3, length))
+                upstream = rng.normal(size=(2, 3, length))
+                assert_matches_composition(block, x, upstream, swap_roles)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(1, 300),
+        mode=st.sampled_from(["symmetric", "literal"]),
+        swap_roles=st.booleans(),
+        phi=st.floats(1e-3, 1.0 - 1e-3),
+        gamma=st.floats(1e-3, 50.0),
+        lam_low=st.floats(-3.0, 3.0),
+        lam_high=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_composition_property(self, length, mode, swap_roles, phi,
+                                          gamma, lam_low, lam_high, seed):
+        rng = np.random.default_rng(seed)
+        block = random_block(rng, 2, length, mode, phi, gamma, lam_low, lam_high)
+        x = rng.normal(size=(2, 2, length))
+        upstream = rng.normal(size=(2, 2, length))
+        assert_matches_composition(block, x, upstream, swap_roles)
+
+    @pytest.mark.parametrize("length", [10, 1])
+    def test_grad_check_with_input(self, length):
+        # L=10 in literal mode: the kernel is not conjugate-symmetric, so
+        # the Hermitian fold and its Nyquist bin carry real weight.
+        rng = np.random.default_rng(100 + length)
+        block = random_block(rng, 2, length, "literal", 0.35, 0.8, 0.6, -0.3)
+        x = Tensor(rng.normal(size=(2, 2, length)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 2, length)))
+
+        def build(p, i):
+            return (block.forward(p["x"]) * w).sum()
+
+        params = dict(block.parameters(), x=x)
+        rep = grad_check(Graph(build, params))
+        assert rep.passed, rep
+
+
+class TestReal32:
+    def test_float32_block_stays_float32(self):
+        rng = np.random.default_rng(11)
+        block = SatseBlock(3, 20, phi_init=0.3, gamma_init=1.5,
+                           lambda_init=0.5, dtype=np.float32)
+        block.weight_im.data += rng.normal(size=(3, 20)).astype(np.float32)
+        x = Tensor(rng.normal(size=(2, 3, 20)).astype(np.float32),
+                   requires_grad=True)
+        out = block.forward(x)
+        assert out.dtype == np.float32
+        (out * Tensor(rng.normal(size=(2, 3, 20)).astype(np.float32))).sum().backward()
+        leaves = dict(block.parameters(), x=x)
+        for name, leaf in leaves.items():
+            assert leaf.grad is not None, name
+            assert leaf.grad.dtype == np.float32, name
+
+    def test_float32_matches_float64(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 24))
+        outs = []
+        for dtype in (np.float32, np.float64):
+            block = SatseBlock(3, 24, phi_init=0.3, gamma_init=1.5,
+                               lambda_init=0.5, dtype=dtype)
+            block.weight_im.data[:] = np.linspace(-1, 1, 72).reshape(3, 24)
+            outs.append(block.forward(Tensor(x.astype(dtype))).data)
+        np.testing.assert_allclose(outs[0], outs[1], atol=1e-5)
