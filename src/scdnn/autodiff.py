@@ -10,7 +10,15 @@ complex tensor is ``dL/dRe + 1j*dL/dIm``. For a real-valued loss this is
 exactly equivalent to differentiating the real and imaginary parts as two
 independent real leaves, so finite-difference checks reduce to ordinary
 real perturbations and no special calculus conventions are needed.
+
+Inside ``with no_grad():`` operations return plain tensors with no parents
+and no closure, so inference retains nothing for a backward pass. The flag
+is a ``contextvars.ContextVar``: it holds per thread and per asyncio task,
+and it is restored when the block exits, also on an exception.
 """
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -22,8 +30,7 @@ __all__ = [
     "ShapeError",
     "stable_sigmoid",
     "grad_check",
-    "forward_eval",
-    "run_backward",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -222,8 +229,31 @@ def _toposort(root):
     return topo
 
 
+_recording = contextvars.ContextVar("scdnn_autodiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the enclosed operations without recording a graph.
+
+    Results are leaf tensors with no parents and no backward closure, so
+    calling ``backward`` through them reaches nothing. Nesting is allowed;
+    recording resumes when the outermost block exits.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _node(data, parents, backward_fn):
-    """Construct an interior graph node; gradient tracking is inherited."""
+    """Construct an interior graph node; gradient tracking is inherited.
+
+    Under ``no_grad`` the node is a plain tensor holding only `data`.
+    """
+    if not _recording.get():
+        return Tensor(data)
     return Tensor(data, _parents=parents, _backward=backward_fn)
 
 
@@ -569,16 +599,6 @@ class Graph:
             if not np.all(np.isfinite(g)):
                 nonfinite.append(name)
         return GradientMap(entries, nonfinite)
-
-
-def forward_eval(graph, inputs=None):
-    """Evaluate a graph on named inputs, retaining state for backward."""
-    return graph.forward(inputs)
-
-
-def run_backward(graph):
-    """Module-level alias for :meth:`Graph.backward`."""
-    return graph.backward()
 
 
 class GradCheckReport:

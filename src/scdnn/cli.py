@@ -4,8 +4,9 @@ checking, and ablation sweeps.
 All configuration arrives through flags or a key=value config file
 (precedence: built-in defaults < config file < flags); no environment
 variables are consulted. Every training run writes a manifest sufficient
-to reproduce it exactly, and artifacts contain no timestamps, so reruns
-with identical inputs are byte-identical.
+to reproduce it exactly. The manifest records start and finish times;
+`model.scdn`, `trace.csv` and `metrics_val.{kv,txt}` contain no
+timestamps, so reruns with identical inputs reproduce them byte for byte.
 """
 
 import argparse

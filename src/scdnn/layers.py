@@ -27,7 +27,6 @@ __all__ = [
     "BatchNorm1d",
     "Linear",
     "conv1d",
-    "batchnorm_forward",
     "linear",
     "relu",
     "max_pool1d",
@@ -138,8 +137,16 @@ class BatchNorm1d:
     """Per-channel normalization over (batch, length) with running statistics.
 
     Train mode normalizes by batch statistics (biased variance) and updates
-    the running estimates with `momentum`; eval mode is a fixed affine map
-    built from the running estimates, so it has no batch coupling.
+    the running estimates with `momentum`. Eval mode is a fixed affine map
+    built from the running estimates, so it has no batch coupling; it runs
+    as one node,
+
+        out = x * a + b,   a = scale / sqrt(running_var + eps),
+                           b = shift - running_mean * a,
+
+    whose backward is closed form: dx = g * a, dscale = sum g * xhat and
+    dshift = sum g, with xhat = (x - running_mean) / sqrt(running_var + eps)
+    and the sums over batch and length.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float64):
@@ -161,33 +168,39 @@ class BatchNorm1d:
             raise ShapeError(
                 f"batchnorm: input has {c} channels, layer has {self.channels}"
             )
-        if mode == "train":
-            if b < 2:
-                raise ValueError("train-mode batchnorm requires batch size >= 2")
-            mu = reduce_mean(x, axis=(0, 2), keepdims=True)
-            centered = sub(x, mu)
-            var = reduce_mean(mul(centered, centered), axis=(0, 2), keepdims=True)
-            inv = power(add(var, self.eps), -0.5)
-            xhat = mul(centered, inv)
-            if update_running:
-                n = b * length
-                batch_mean = mu.data.reshape(c)
-                batch_var = var.data.reshape(c)
-                unbiased = batch_var * (n / (n - 1.0))
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
-                self.running_var = (1.0 - m) * self.running_var + m * unbiased
-        else:
-            rm = self.running_mean[None, :, None]
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = mul(sub(x, Tensor(rm)), Tensor(inv[None, :, None]))
+        if mode == "eval":
+            return self._eval_forward(x)
+        if b < 2:
+            raise ValueError("train-mode batchnorm requires batch size >= 2")
+        mu = reduce_mean(x, axis=(0, 2), keepdims=True)
+        centered = sub(x, mu)
+        var = reduce_mean(mul(centered, centered), axis=(0, 2), keepdims=True)
+        inv = power(add(var, self.eps), -0.5)
+        xhat = mul(centered, inv)
+        if update_running:
+            n = b * length
+            batch_mean = mu.data.reshape(c)
+            batch_var = var.data.reshape(c)
+            unbiased = batch_var * (n / (n - 1.0))
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
+            self.running_var = (1.0 - m) * self.running_var + m * unbiased
         scale = reshape(self.scale, (1, c, 1))
         shift = reshape(self.shift, (1, c, 1))
         return add(mul(xhat, scale), shift)
 
+    def _eval_forward(self, x):
+        inv = (1.0 / np.sqrt(self.running_var + self.eps))[None, :, None]
+        mean = self.running_mean[None, :, None]
+        a = self.scale.data[None, :, None] * inv
+        out = x.data * a + (self.shift.data[None, :, None] - mean * a)
 
-def batchnorm_forward(x, layer, mode="train", update_running=None):
-    return layer.forward(x, mode, update_running)
+        def backward(g):
+            dx = g * a if x.requires_grad else None
+            dscale = (g * ((x.data - mean) * inv)).sum(axis=(0, 2))
+            return dx, dscale, g.sum(axis=(0, 2))
+
+        return _node(out, (x, self.scale, self.shift), backward)
 
 
 def linear(x, weight, bias):

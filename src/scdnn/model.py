@@ -39,7 +39,6 @@ __all__ = [
     "ModelIOError",
     "BACKBONES",
     "build_model",
-    "model_forward",
     "save_model",
     "load_model",
     "tiny_config",
@@ -431,13 +430,10 @@ class ScdnnModel:
         if self.config.stem_maxpool:
             h = max_pool1d(h, 3, 2, 1)
         for s, blocks in enumerate(self.stages):
-            try:
-                for block in blocks:
-                    h = block.forward(h, mode, update_running)
-                if self.satse[s] is not None:
-                    h = self.satse[s].forward(h)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"stage {s + 1}: {exc}") from exc
+            for block in blocks:
+                h = block.forward(h, mode, update_running)
+            if self.satse[s] is not None:
+                h = self.satse[s].forward(h)
             if not np.all(np.isfinite(h.data)):
                 raise FloatingPointError(
                     f"non-finite activations after stage {s + 1}"
@@ -478,10 +474,6 @@ class ScdnnModel:
 def build_model(config, seed=0):
     """Deterministic construction: identical seeds give identical parameters."""
     return ScdnnModel(config, seed)
-
-
-def model_forward(model, batch, mode="eval"):
-    return model.forward(batch, mode)
 
 
 # -- persistence --------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .layers import cross_entropy, softmax
 from .model import build_model
 
@@ -326,13 +326,17 @@ def metrics_from_confusion(confusion):
 
 
 def predict(model, records, batch_size=64):
-    """Eval-mode argmax class per record; ties resolve to the lowest index."""
+    """Eval-mode argmax class per record; ties resolve to the lowest index.
+
+    The forward passes run under ``no_grad``, so no graph is recorded.
+    """
     preds = []
     dtype = model.config.dtype
-    for start in range(0, len(records), batch_size):
-        chunk = records[start : start + batch_size]
-        logits = model.forward(Tensor(_batch_array(chunk, dtype)), "eval")
-        preds.extend(np.argmax(logits.data, axis=1).tolist())
+    with no_grad():
+        for start in range(0, len(records), batch_size):
+            chunk = records[start : start + batch_size]
+            logits = model.forward(Tensor(_batch_array(chunk, dtype)), "eval")
+            preds.extend(np.argmax(logits.data, axis=1).tolist())
     return np.array(preds, dtype=np.int64)
 
 
@@ -436,7 +440,10 @@ class InferenceBenchmark:
 
 def benchmark_inference(model, dataset, repeats=3, split="test", batch_size=32,
                         warmup=1):
-    """Eval-mode wall time per batch over `repeats` passes, warmup excluded."""
+    """Eval-mode wall time per batch over `repeats` passes, warmup excluded.
+
+    Like `predict`, the forward passes run under ``no_grad``.
+    """
     records = dataset.records_in(split)
     if not records:
         raise ValueError(f"split {split!r} is empty")
@@ -445,15 +452,16 @@ def benchmark_inference(model, dataset, repeats=3, split="test", batch_size=32,
         _batch_array(records[s : s + batch_size], dtype)
         for s in range(0, len(records), batch_size)
     ]
-    for _ in range(warmup):
-        for xb in batches:
-            model.forward(Tensor(xb), "eval")
     times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for xb in batches:
-            model.forward(Tensor(xb), "eval")
-        times.append((time.perf_counter() - t0) / len(batches))
+    with no_grad():
+        for _ in range(warmup):
+            for xb in batches:
+                model.forward(Tensor(xb), "eval")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for xb in batches:
+                model.forward(Tensor(xb), "eval")
+            times.append((time.perf_counter() - t0) / len(batches))
     return InferenceBenchmark(
         float(np.mean(times)), float(np.std(times)), times
     )

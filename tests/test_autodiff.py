@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,13 @@ from scdnn.autodiff import (
     as_complex,
     concat,
     exp,
-    forward_eval,
     grad_check,
     imag_part,
     log,
     matmul,
     max_along,
     mul,
+    no_grad,
     real_part,
     reduce_mean,
     reduce_sum,
@@ -33,18 +35,18 @@ def scalar_graph(fn):
 class TestForwardEval:
     def test_product(self):
         g = scalar_graph(lambda p, i: i["x"] * i["y"])
-        out = forward_eval(g, {"x": 3.0, "y": 4.0})
+        out = g.forward({"x": 3.0, "y": 4.0})
         assert out.data.item() == 12.0
 
     def test_identity(self):
         x = np.random.default_rng(0).normal(size=(3, 4))
         g = scalar_graph(lambda p, i: i["x"])
-        out = forward_eval(g, {"x": x})
+        out = g.forward({"x": x})
         np.testing.assert_array_equal(out.data, x)
 
     def test_sum_of_squares(self):
         g = scalar_graph(lambda p, i: (i["x"] * i["x"]).sum())
-        out = forward_eval(g, {"x": np.array([1.0, 2.0, 3.0])})
+        out = g.forward({"x": np.array([1.0, 2.0, 3.0])})
         assert out.data.item() == 14.0
 
     def test_determinism(self):
@@ -251,3 +253,73 @@ class TestOps:
                   {"x": x})
         g.forward({})
         np.testing.assert_allclose(g.backward()["x"], 2 * np.arange(6.0))
+
+
+def _recorded(t):
+    return bool(t._parents) and t._backward is not None
+
+
+class TestNoGrad:
+    def test_ops_inside_return_plain_tensors(self):
+        w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        x = Tensor(np.ones((3, 2)))
+        with no_grad():
+            out = sigmoid(matmul(x, w)).sum()
+        assert out._parents == ()
+        assert out._backward is None
+        assert not out.requires_grad
+        assert out.data.item() == sigmoid(matmul(x, w)).sum().data.item()
+
+    def test_recording_resumes_after_block(self):
+        w = Tensor(np.asarray(2.0), requires_grad=True)
+        with no_grad():
+            assert not _recorded(w * w)
+        out = w * w
+        assert _recorded(out)
+        out.backward()
+        assert w.grad.item() == 4.0
+
+    def test_recording_resumes_after_nested_blocks(self):
+        w = Tensor(np.asarray(1.5), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not _recorded(w + 1.0)
+            assert not _recorded(w + 1.0)
+        assert _recorded(w + 1.0)
+
+    def test_recording_resumes_after_exception(self):
+        w = Tensor(np.asarray(1.5), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with no_grad():
+                matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        assert _recorded(w * 3.0)
+
+    def test_block_in_one_thread_leaves_others_recording(self):
+        w = Tensor(np.asarray(0.5), requires_grad=True)
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_block_open():
+            with no_grad():
+                seen["inside"] = _recorded(w * w)
+                entered.set()
+                release.wait(timeout=10.0)
+                seen["still_inside"] = _recorded(w * w)
+
+        holder = threading.Thread(target=hold_block_open)
+        holder.start()
+        try:
+            assert entered.wait(timeout=10.0)
+            assert _recorded(w * w)
+            other = {}
+            recorder = threading.Thread(
+                target=lambda: other.setdefault("recorded", _recorded(w * w)))
+            recorder.start()
+            recorder.join(timeout=10.0)
+            assert not recorder.is_alive()
+            assert other["recorded"]
+        finally:
+            release.set()
+            holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        assert seen == {"inside": False, "still_inside": False}

@@ -106,6 +106,7 @@ class TestTrain:
         assert (d1 / "model.scdn").read_bytes() == (d2 / "model.scdn").read_bytes()
         assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
         assert (d1 / "metrics_val.kv").read_bytes() == (d2 / "metrics_val.kv").read_bytes()
+        assert (d1 / "metrics_val.txt").read_bytes() == (d2 / "metrics_val.txt").read_bytes()
 
     def test_fixed_phi_constant_in_trace(self, micro_dataset, tmp_path):
         out_dir = tmp_path / "fixed"

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from scdnn.autodiff import Graph, ShapeError, Tensor, grad_check, relu
+from scdnn.autodiff import (
+    Graph,
+    ShapeError,
+    Tensor,
+    add,
+    grad_check,
+    mul,
+    relu,
+    reshape,
+    sub,
+)
 from scdnn.layers import (
     BatchNorm1d,
     Conv1d,
@@ -151,6 +161,79 @@ class TestBatchNorm:
             Graph(build, {"x": x, "scale": layer.scale, "shift": layer.shift}), {}
         )
         assert rep.passed
+
+
+def _eval_batchnorm(rng, channels):
+    """A layer with non-trivial running statistics and affine parameters."""
+    layer = BatchNorm1d(channels)
+    layer.running_mean = rng.normal(size=channels)
+    layer.running_var = rng.uniform(0.2, 3.0, channels)
+    layer.scale.data[:] = rng.uniform(0.5, 1.5, channels)
+    layer.shift.data[:] = rng.normal(size=channels) * 0.3
+    return layer
+
+
+class TestEvalBatchNorm:
+    def test_gradients(self):
+        rng = np.random.default_rng(18)
+        layer = _eval_batchnorm(rng, 3)
+        x = Tensor(rng.normal(size=(4, 3, 6)), requires_grad=True)
+        w = rng.normal(size=(4, 3, 6))
+
+        def build(p, i):
+            return (layer.forward(p["x"], "eval") * Tensor(w)).sum()
+
+        rep = grad_check(
+            Graph(build, {"x": x, "scale": layer.scale, "shift": layer.shift}), {}
+        )
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("shape", [(3, 4, 7), (1, 2, 1), (5, 1, 16)])
+    def test_matches_unfused_composition(self, shape):
+        # The unfused form, (x - rm) * inv * scale + shift, built from
+        # generic nodes. Errors are measured against the summed magnitude
+        # of each quantity's terms, since the sums in dscale and dshift can
+        # cancel.
+        rng = np.random.default_rng(sum(shape))
+        c = shape[1]
+        layer = _eval_batchnorm(rng, c)
+        x = Tensor(rng.normal(size=shape) * 2.0 + 1.0, requires_grad=True)
+        w = rng.normal(size=shape)
+        rm = layer.running_mean[None, :, None]
+        inv = 1.0 / np.sqrt(layer.running_var + layer.eps)[None, :, None]
+        scale = layer.scale.data[None, :, None]
+        shift = layer.shift.data[None, :, None]
+
+        def unfused(p):
+            xhat = mul(sub(p["x"], Tensor(rm)), Tensor(inv))
+            return add(mul(xhat, reshape(p["scale"], (1, c, 1))),
+                       reshape(p["shift"], (1, c, 1)))
+
+        def fused(p):
+            return layer.forward(p["x"], "eval")
+
+        params = {"x": x, "scale": layer.scale, "shift": layer.shift}
+        results = []
+        for f in (unfused, fused):
+            graph = Graph(lambda p, i, f=f: (f(p) * Tensor(w)).sum(), params)
+            graph.forward({})
+            results.append((f(params).data, graph.backward()))
+        (ref_out, ref), (out, got) = results
+
+        assert fused(params)._parents == (x, layer.scale, layer.shift)
+        a = np.abs(scale * inv)
+        magnitude = {
+            "out": np.abs(x.data) * a + np.abs(rm) * a + np.abs(shift),
+            "x": np.abs(w) * a,
+            "scale": (np.abs(w) * np.abs(x.data - rm) * inv).sum(axis=(0, 2)),
+            "shift": np.abs(w).sum(axis=(0, 2)),
+        }
+        errors = {"out": np.abs(out - ref_out)}
+        for name in ("x", "scale", "shift"):
+            errors[name] = np.abs(got[name] - ref[name])
+        for name, err in errors.items():
+            assert err.shape == magnitude[name].shape, name
+            assert (err / magnitude[name]).max() <= 1e-12, name
 
 
 class TestReluAndPools:

@@ -7,7 +7,6 @@ from scdnn.model import (
     ModelIOError,
     build_model,
     load_model,
-    model_forward,
     save_model,
     tiny_config,
 )
@@ -109,7 +108,7 @@ class TestBuild:
 class TestForward:
     def test_shape_and_finiteness(self, tiny_model):
         rng = np.random.default_rng(0)
-        logits = model_forward(tiny_model, rng.normal(size=(2, 12, 64)), "train")
+        logits = tiny_model.forward(rng.normal(size=(2, 12, 64)), "train")
         assert logits.data.shape == (2, 3)
         assert np.all(np.isfinite(logits.data))
 

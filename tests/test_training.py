@@ -14,6 +14,7 @@ from scdnn.training import (
     evaluate,
     lr_at_epoch,
     metrics_from_confusion,
+    predict,
     run_ablation,
     train,
 )
@@ -243,6 +244,64 @@ class TestMetrics:
         assert "macro f1" in text and "confusion" in text and "aa" in text
         kv = rep.to_keyvalues()
         assert "macro_f1=" in kv and "confusion0=2,0" in kv
+
+
+@pytest.fixture
+def capture_forward():
+    """Wrap a model's forward to collect every output tensor it returns."""
+    wrapped = []
+
+    def wrap(model):
+        forward = model.forward
+        outputs = []
+
+        def capturing(x, mode="eval", update_running=None):
+            out = forward(x, mode, update_running)
+            outputs.append(out)
+            return out
+
+        model.forward = capturing
+        wrapped.append(model)
+        return outputs
+
+    yield wrap
+    for model in wrapped:
+        del model.forward
+
+
+def _unrecorded(tensors):
+    return bool(tensors) and all(
+        t._parents == () and t._backward is None for t in tensors)
+
+
+class TestNoGradInference:
+    @pytest.mark.parametrize("precision", ["real64", "real32"])
+    def test_predict_logits_equal_recording_forward(self, precision,
+                                                    capture_forward):
+        records = toy_dataset(n_per_class=4).records_in("train")
+        model = build_model(tiny_config(precision=precision), seed=6)
+        x = np.stack([rec.leads for rec in records]).astype(model.config.dtype)
+        model.forward(x, "train")  # non-trivial running statistics
+        recorded = [model.forward(x[s : s + 3], "eval")
+                    for s in range(0, len(records), 3)]
+        assert all(t._parents for t in recorded)
+
+        captured = capture_forward(model)
+        preds = predict(model, records, batch_size=3)
+        assert _unrecorded(captured)
+        assert len(captured) == len(recorded)
+        for got, ref in zip(captured, recorded):
+            assert got.data.dtype == ref.data.dtype == model.config.dtype
+            assert np.array_equal(got.data, ref.data)
+        logits = np.concatenate([t.data for t in recorded])
+        np.testing.assert_array_equal(preds, np.argmax(logits, axis=1))
+
+    def test_benchmark_inference_records_no_graph(self, capture_forward):
+        ds = toy_dataset(n_per_class=4)
+        model = build_model(tiny_config(), seed=0)
+        captured = capture_forward(model)
+        benchmark_inference(model, ds, repeats=1, split="train", batch_size=4)
+        assert _unrecorded(captured)
 
 
 class TestAblation:
