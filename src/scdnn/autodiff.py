@@ -36,7 +36,6 @@ __all__ = [
     "mul",
     "div",
     "neg",
-    "power",
     "exp",
     "log",
     "sigmoid",
@@ -167,9 +166,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -332,18 +328,6 @@ def div(a, b):
 def neg(a):
     a = _promote(a)
     return _node(-a.data, (a,), lambda g: (-g,))
-
-
-def power(a, p):
-    """Elementwise a**p for a constant real exponent."""
-    a = _promote(a)
-    p = float(p)
-    out = a.data ** p
-
-    def backward(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _node(out, (a,), backward)
 
 
 def exp(a):

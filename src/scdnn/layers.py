@@ -8,19 +8,7 @@ one GEMM per call.
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    _node,
-    add,
-    concat,
-    mul,
-    power,
-    reduce_mean,
-    relu,
-    reshape,
-    sub,
-)
+from .autodiff import ShapeError, Tensor, _node, concat, reduce_mean, relu
 
 __all__ = [
     "Conv1d",
@@ -136,17 +124,21 @@ class Conv1d:
 class BatchNorm1d:
     """Per-channel normalization over (batch, length) with running statistics.
 
-    Train mode normalizes by batch statistics (biased variance) and updates
-    the running estimates with `momentum`. Eval mode is a fixed affine map
-    built from the running estimates, so it has no batch coupling; it runs
-    as one node,
+    The mode chooses only the statistics. Train mode uses the batch mean and
+    biased variance (two passes) and updates the running estimates with
+    `momentum`, using the unbiased variance n / (n - 1) * var; eval mode uses
+    the running estimates. Both modes then run as one node,
 
-        out = x * a + b,   a = scale / sqrt(running_var + eps),
-                           b = shift - running_mean * a,
+        out = x * a + b,   a = scale / sqrt(var + eps),   b = shift - mean * a,
 
-    whose backward is closed form: dx = g * a, dscale = sum g * xhat and
-    dshift = sum g, with xhat = (x - running_mean) / sqrt(running_var + eps)
-    and the sums over batch and length.
+    whose backward is closed form, with xhat = (x - mean) / sqrt(var + eps),
+    N = batch * length and every sum over batch and length:
+
+        dscale = sum(g * xhat),   dshift = sum(g),
+        dx = g * a                                           (eval)
+        dx = a * (g - (sum(g) + xhat * sum(g * xhat)) / N)   (train)
+
+    The train-mode dx carries the gradient through the batch statistics.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float64):
@@ -168,37 +160,36 @@ class BatchNorm1d:
             raise ShapeError(
                 f"batchnorm: input has {c} channels, layer has {self.channels}"
             )
+        n = b * length
         if mode == "eval":
-            return self._eval_forward(x)
-        if b < 2:
-            raise ValueError("train-mode batchnorm requires batch size >= 2")
-        mu = reduce_mean(x, axis=(0, 2), keepdims=True)
-        centered = sub(x, mu)
-        var = reduce_mean(mul(centered, centered), axis=(0, 2), keepdims=True)
-        inv = power(add(var, self.eps), -0.5)
-        xhat = mul(centered, inv)
-        if update_running:
-            n = b * length
-            batch_mean = mu.data.reshape(c)
-            batch_var = var.data.reshape(c)
-            unbiased = batch_var * (n / (n - 1.0))
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * batch_mean
-            self.running_var = (1.0 - m) * self.running_var + m * unbiased
-        scale = reshape(self.scale, (1, c, 1))
-        shift = reshape(self.shift, (1, c, 1))
-        return add(mul(xhat, scale), shift)
-
-    def _eval_forward(self, x):
-        inv = (1.0 / np.sqrt(self.running_var + self.eps))[None, :, None]
-        mean = self.running_mean[None, :, None]
-        a = self.scale.data[None, :, None] * inv
-        out = x.data * a + (self.shift.data[None, :, None] - mean * a)
+            mean, var = self.running_mean, self.running_var
+        else:
+            if b < 2:
+                raise ValueError("train-mode batchnorm requires batch size >= 2")
+            mean = x.data.mean(axis=(0, 2))
+            centered = x.data - mean[:, None]
+            var = (centered * centered).mean(axis=(0, 2))
+            if update_running:
+                unbiased = var * (n / (n - 1.0))
+                m = self.momentum
+                self.running_mean = (1.0 - m) * self.running_mean + m * mean
+                self.running_var = (1.0 - m) * self.running_var + m * unbiased
+        mean = mean[:, None]
+        inv = (1.0 / np.sqrt(var + self.eps))[:, None]
+        a = self.scale.data[:, None] * inv
+        out = x.data * a + (self.shift.data[:, None] - mean * a)
 
         def backward(g):
-            dx = g * a if x.requires_grad else None
-            dscale = (g * ((x.data - mean) * inv)).sum(axis=(0, 2))
-            return dx, dscale, g.sum(axis=(0, 2))
+            xhat = (x.data - mean) * inv
+            dshift = g.sum(axis=(0, 2))
+            dscale = (g * xhat).sum(axis=(0, 2))
+            dx = None
+            if x.requires_grad:
+                if mode == "eval":
+                    dx = g * a
+                else:
+                    dx = a * (g - (dshift[:, None] + xhat * dscale[:, None]) / n)
+            return dx, dscale, dshift
 
         return _node(out, (x, self.scale, self.shift), backward)
 

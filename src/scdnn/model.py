@@ -5,16 +5,18 @@ Architecture, front to back:
 
     stem:   conv(k=7, stride=2, pad=3) -> batchnorm -> relu
             [-> maxpool(k=3, stride=2, pad=1) when enabled]
-    stages: residual blocks per backbone depth; stages after the first
-            downsample by stride 2 with a 1x1 projection shortcut
+    stages: basic or bottleneck residual blocks per backbone depth;
+            stages after the first downsample by stride 2 with a 1x1
+            projection shortcut
     per stage: optional SATSE block on the stage output
     head:   concat(avg-pool, max-pool) -> linear -> logits
 
 Binary model files: magic "SCDN", version u16 LE, u32-length-prefixed
 UTF-8 config (key=value lines), u32 entry count, then per entry a
 u16-length-prefixed name, dtype u8 (0 = f64, 1 = f32), rank u8, dims u32
-each, and the raw little-endian values. Entries cover both trainable
-parameters and batchnorm running statistics, so a round trip is bitwise.
+each, and the raw little-endian values. Entry names are unique and no
+bytes follow the last entry. Entries cover both trainable parameters and
+batchnorm running statistics, so a round trip is bitwise.
 """
 
 import struct
@@ -47,11 +49,11 @@ __all__ = [
 MODEL_MAGIC = b"SCDN"
 MODEL_VERSION = 1
 
-# backbone name -> (block kind, blocks per stage, channel expansion)
+# backbone name -> (residual block kind, blocks per stage)
 BACKBONES = {
-    "resnet18": ("basic", (2, 2, 2, 2), 1),
-    "resnet34": ("basic", (3, 4, 6, 3), 1),
-    "resnet50": ("bottleneck", (3, 4, 6, 3), 4),
+    "resnet18": ("basic", (2, 2, 2, 2)),
+    "resnet34": ("basic", (3, 4, 6, 3)),
+    "resnet50": ("bottleneck", (3, 4, 6, 3)),
 }
 
 _DEFAULT_WIDTHS = (64, 128, 256, 512)
@@ -59,6 +61,17 @@ _DEFAULT_WIDTHS = (64, 128, 256, 512)
 
 class ModelIOError(IOError):
     """Raised for malformed or truncated model files."""
+
+
+_BOOL_TEXT = {"1": True, "True": True, "true": True,
+              "0": False, "False": False, "false": False}
+
+
+def _parse_bool(key, text):
+    if text not in _BOOL_TEXT:
+        raise ValueError(f"config key {key}: {text!r} is not a boolean "
+                         f"(expected one of {', '.join(_BOOL_TEXT)})")
+    return _BOOL_TEXT[text]
 
 
 @dataclass
@@ -155,7 +168,7 @@ class ModelConfig:
             if v == "None":
                 kwargs[f.name] = None
             elif f.name in ("satse_blocks_enabled",):
-                kwargs[f.name] = tuple(x in ("1", "True", "true") for x in v.split(","))
+                kwargs[f.name] = tuple(_parse_bool(f.name, x) for x in v.split(","))
             elif f.name in ("stage_widths",):
                 kwargs[f.name] = tuple(int(x) for x in v.split(","))
             elif f.name in ("n_classes", "n_leads", "input_length", "n_stages"):
@@ -163,7 +176,7 @@ class ModelConfig:
             elif f.name in ("fixed_phi", "phi_init", "gamma_init"):
                 kwargs[f.name] = float(v)
             elif f.name in ("double_softmax", "stem_maxpool", "tie_lambdas"):
-                kwargs[f.name] = v in ("1", "True", "true")
+                kwargs[f.name] = _parse_bool(f.name, v)
             else:
                 kwargs[f.name] = v
         if raw:
@@ -194,83 +207,53 @@ def _conv_out_len(length, kernel, stride, padding):
     return (length + 2 * padding - kernel) // stride + 1
 
 
-class _BasicBlock:
-    """conv3-bn-relu-conv3-bn plus shortcut; stride applies to the first conv."""
+class _ResidualBlock:
+    """Conv/batchnorm pairs plus a shortcut, summed and passed through relu.
 
-    expansion = 1
+    "basic" is conv3-bn-relu-conv3-bn with the stride on the first conv;
+    "bottleneck" is a 1x1 reduce, a strided 3x3 and a 1x1 expand to
+    4 * width. Relu follows every pair but the last. A 1x1 projection with
+    batchnorm replaces the identity shortcut when the stride or the channel
+    count changes.
+    """
 
-    def __init__(self, c_in, width, stride, rng, dtype):
-        c_out = width * self.expansion
-        self.conv1 = Conv1d(c_in, width, 3, stride, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn1 = BatchNorm1d(width, dtype=dtype)
-        self.conv2 = Conv1d(width, c_out, 3, 1, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn2 = BatchNorm1d(c_out, dtype=dtype)
-        if stride != 1 or c_in != c_out:
-            self.proj = Conv1d(c_in, c_out, 1, stride, 0, bias=False, rng=rng,
-                               dtype=dtype)
-            self.proj_bn = BatchNorm1d(c_out, dtype=dtype)
+    def __init__(self, kind, c_in, width, stride, rng, dtype):
+        if kind == "basic":
+            specs = ((width, 3, stride), (width, 3, 1))
         else:
-            self.proj = None
-            self.proj_bn = None
+            specs = ((width, 1, 1), (width, 3, stride), (4 * width, 1, 1))
+        self.pairs = []
+        c = c_in
+        for c_out, kernel, s in specs:
+            conv = Conv1d(c, c_out, kernel, s, kernel // 2, bias=False, rng=rng,
+                          dtype=dtype)
+            self.pairs.append((conv, BatchNorm1d(c_out, dtype=dtype)))
+            c = c_out
+        self.c_out = c
+        self.proj = None
+        if stride != 1 or c_in != c:
+            self.proj = (Conv1d(c_in, c, 1, stride, 0, bias=False, rng=rng,
+                                dtype=dtype),
+                         BatchNorm1d(c, dtype=dtype))
 
     def forward(self, x, mode, update_running):
-        h = relu(self.bn1.forward(self.conv1.forward(x), mode, update_running))
-        h = self.bn2.forward(self.conv2.forward(h), mode, update_running)
+        h = x
+        for i, (conv, bn) in enumerate(self.pairs):
+            if i:
+                h = relu(h)
+            h = bn.forward(conv.forward(h), mode, update_running)
         shortcut = x
         if self.proj is not None:
-            shortcut = self.proj_bn.forward(
-                self.proj.forward(x), mode, update_running
-            )
+            conv, bn = self.proj
+            shortcut = bn.forward(conv.forward(x), mode, update_running)
         return relu(h + shortcut)
 
     def named_layers(self):
-        out = {"conv1": self.conv1, "bn1": self.bn1,
-               "conv2": self.conv2, "bn2": self.bn2}
+        out = {}
+        for i, (conv, bn) in enumerate(self.pairs, 1):
+            out[f"conv{i}"], out[f"bn{i}"] = conv, bn
         if self.proj is not None:
-            out["proj"] = self.proj
-            out["proj_bn"] = self.proj_bn
-        return out
-
-
-class _BottleneckBlock:
-    """1x1 reduce, 3x3, 1x1 expand (x4), as in the deeper backbone variants."""
-
-    expansion = 4
-
-    def __init__(self, c_in, width, stride, rng, dtype):
-        c_out = width * self.expansion
-        self.conv1 = Conv1d(c_in, width, 1, 1, 0, bias=False, rng=rng, dtype=dtype)
-        self.bn1 = BatchNorm1d(width, dtype=dtype)
-        self.conv2 = Conv1d(width, width, 3, stride, 1, bias=False, rng=rng,
-                            dtype=dtype)
-        self.bn2 = BatchNorm1d(width, dtype=dtype)
-        self.conv3 = Conv1d(width, c_out, 1, 1, 0, bias=False, rng=rng, dtype=dtype)
-        self.bn3 = BatchNorm1d(c_out, dtype=dtype)
-        if stride != 1 or c_in != c_out:
-            self.proj = Conv1d(c_in, c_out, 1, stride, 0, bias=False, rng=rng,
-                               dtype=dtype)
-            self.proj_bn = BatchNorm1d(c_out, dtype=dtype)
-        else:
-            self.proj = None
-            self.proj_bn = None
-
-    def forward(self, x, mode, update_running):
-        h = relu(self.bn1.forward(self.conv1.forward(x), mode, update_running))
-        h = relu(self.bn2.forward(self.conv2.forward(h), mode, update_running))
-        h = self.bn3.forward(self.conv3.forward(h), mode, update_running)
-        shortcut = x
-        if self.proj is not None:
-            shortcut = self.proj_bn.forward(
-                self.proj.forward(x), mode, update_running
-            )
-        return relu(h + shortcut)
-
-    def named_layers(self):
-        out = {"conv1": self.conv1, "bn1": self.bn1, "conv2": self.conv2,
-               "bn2": self.bn2, "conv3": self.conv3, "bn3": self.bn3}
-        if self.proj is not None:
-            out["proj"] = self.proj
-            out["proj_bn"] = self.proj_bn
+            out["proj"], out["proj_bn"] = self.proj
         return out
 
 
@@ -284,8 +267,7 @@ class ScdnnModel:
         self.seed = seed
         dtype = config.dtype
         rng = np.random.default_rng(seed)
-        kind, blocks_per_stage, expansion = BACKBONES[config.backbone]
-        block_cls = _BasicBlock if kind == "basic" else _BottleneckBlock
+        kind, blocks_per_stage = BACKBONES[config.backbone]
         widths = config.widths()
 
         self.stem_conv = Conv1d(config.n_leads, widths[0], 7, 2, 3, bias=False,
@@ -297,7 +279,7 @@ class ScdnnModel:
             length = _conv_out_len(length, 3, 2, 1)
 
         shared_low = shared_high = None
-        if config.tie_lambdas:
+        if config.tie_lambdas and any(config.satse_blocks_enabled[:config.n_stages]):
             shared_low = Tensor(np.asarray(0.0, dtype), requires_grad=True)
             shared_high = Tensor(np.asarray(0.0, dtype), requires_grad=True)
         self._shared_lambdas = (shared_low, shared_high)
@@ -310,10 +292,9 @@ class ScdnnModel:
             stride = 1 if s == 0 else 2
             blocks = []
             for b in range(blocks_per_stage[s]):
-                blocks.append(
-                    block_cls(c_in, widths[s], stride if b == 0 else 1, rng, dtype)
-                )
-                c_in = widths[s] * expansion
+                blocks.append(_ResidualBlock(kind, c_in, widths[s],
+                                             stride if b == 0 else 1, rng, dtype))
+                c_in = blocks[-1].c_out
             length = _conv_out_len(length, 3, stride, 1) if stride == 2 else length
             if length < 1:
                 raise ValueError(
@@ -555,6 +536,8 @@ def load_model(path):
     n_entries = r.u32("entry count")
     for _ in range(n_entries):
         name = r.take(r.u16("name length"), "name").decode("utf-8")
+        if name in seen:
+            raise ModelIOError(f"repeated entry {name!r} in model file")
         code, rank = struct.unpack("<BB", r.take(2, "dtype/rank"))
         if code not in _CODE_DTYPES:
             raise ModelIOError(f"unknown dtype code {code} for entry {name!r}")
@@ -575,6 +558,11 @@ def load_model(path):
         else:
             raise ModelIOError(f"unexpected entry {name!r} in model file")
         seen.add(name)
+    if r.offset != len(r.data):
+        raise ModelIOError(
+            f"{len(r.data) - r.offset} trailing bytes after the last entry at "
+            f"offset {r.offset}"
+        )
     missing = expected - seen
     if missing:
         raise ModelIOError(f"model file is missing entries: {sorted(missing)[:5]}")

@@ -66,23 +66,17 @@ PHI_MAX = 1.0 - 1e-3
 GAMMA_MIN = 1e-3
 
 
-def effective_bins(length, mode="symmetric"):
-    """Mask argument per bin: j in literal mode, min(j, L - j) in symmetric."""
-    if mode not in MASK_INDEX_MODES:
-        raise ValueError(f"unknown mask index mode {mode!r}")
-    j = np.arange(length, dtype=np.float64)
-    if mode == "symmetric":
-        return np.minimum(j, length - j)
-    return j
-
-
 def _effective(j, length, mode):
-    x = np.asarray(j, dtype=np.float64)
+    """Mask argument of bin(s) j: j in literal mode, min(j, L - j) in symmetric."""
     if mode not in MASK_INDEX_MODES:
         raise ValueError(f"unknown mask index mode {mode!r}")
-    if mode == "symmetric":
-        x = np.minimum(x, length - x)
-    return x
+    x = np.asarray(j, dtype=np.float64)
+    return np.minimum(x, length - x) if mode == "symmetric" else x
+
+
+def effective_bins(length, mode="symmetric"):
+    """Mask argument for every bin 0 .. length - 1."""
+    return _effective(np.arange(length), length, mode)
 
 
 def soft_mask(j, phi, gamma, length, side, mode="symmetric"):

@@ -6,8 +6,11 @@ from scdnn.autodiff import (
     ShapeError,
     Tensor,
     add,
+    exp,
     grad_check,
+    log,
     mul,
+    reduce_mean,
     relu,
     reshape,
     sub,
@@ -161,6 +164,93 @@ class TestBatchNorm:
             Graph(build, {"x": x, "scale": layer.scale, "shift": layer.shift}), {}
         )
         assert rep.passed
+
+
+class TestTrainBatchNorm:
+    @pytest.mark.parametrize("shape, loc, spread", [
+        ((3, 4, 7), 1.0, 2.0),
+        ((2, 1, 1), -0.5, 1.5),
+        # channel mean far larger than its standard deviation
+        ((6, 3, 16), 300.0, 0.25),
+    ])
+    def test_matches_unfused_composition(self, shape, loc, spread):
+        # The unfused form, built from generic nodes: two-pass batch
+        # statistics, (var + eps) ** -0.5 as exp(-0.5 * log(var + eps)), then
+        # xhat * scale + shift. Errors are measured against the summed
+        # magnitude of each quantity's terms, since the sums in dscale,
+        # dshift and the batch-statistics part of dx can cancel.
+        rng = np.random.default_rng(sum(shape))
+        b, c, length = shape
+        n = b * length
+        layer = BatchNorm1d(c)
+        layer.scale.data[:] = rng.uniform(0.5, 1.5, c)
+        layer.shift.data[:] = rng.normal(size=c) * 0.3
+        x = Tensor(loc + spread * rng.normal(size=shape), requires_grad=True)
+        w = rng.normal(size=shape)
+
+        def unfused(p):
+            mu = reduce_mean(p["x"], axis=(0, 2), keepdims=True)
+            centered = sub(p["x"], mu)
+            var = reduce_mean(mul(centered, centered), axis=(0, 2),
+                              keepdims=True)
+            inv = exp(mul(log(add(var, layer.eps)), -0.5))
+            return add(mul(mul(centered, inv), reshape(p["scale"], (1, c, 1))),
+                       reshape(p["shift"], (1, c, 1)))
+
+        def fused(p):
+            return layer.forward(p["x"], "train", update_running=False)
+
+        params = {"x": x, "scale": layer.scale, "shift": layer.shift}
+        results = []
+        for f in (unfused, fused):
+            graph = Graph(lambda p, i, f=f: (f(p) * Tensor(w)).sum(), params)
+            graph.forward({})
+            results.append((f(params).data, graph.backward()))
+        (ref_out, ref), (out, got) = results
+
+        mean = x.data.mean(axis=(0, 2), keepdims=True)
+        inv = 1.0 / np.sqrt(x.data.var(axis=(0, 2), keepdims=True) + layer.eps)
+        a = np.abs(layer.scale.data[None, :, None] * inv)
+        xhat = np.abs(x.data - mean) * inv
+        sum_g = np.abs(w).sum(axis=(0, 2), keepdims=True)
+        sum_gx = (np.abs(w) * xhat).sum(axis=(0, 2), keepdims=True)
+        magnitude = {
+            "out": (np.abs(x.data) + np.abs(mean)) * a
+            + np.abs(layer.shift.data[None, :, None]),
+            "x": a * (np.abs(w) + (sum_g + xhat * sum_gx) / n),
+            "scale": sum_gx.reshape(c),
+            "shift": sum_g.reshape(c),
+        }
+        errors = {"out": np.abs(out - ref_out)}
+        for name in ("x", "scale", "shift"):
+            errors[name] = np.abs(got[name] - ref[name])
+        for name, err in errors.items():
+            assert err.shape == magnitude[name].shape, name
+            assert (err / magnitude[name]).max() <= 1e-12, name
+
+    def test_one_node_with_input_and_affine_parents(self):
+        layer = BatchNorm1d(3)
+        x = Tensor(np.random.default_rng(19).normal(size=(4, 3, 5)),
+                   requires_grad=True)
+        assert layer.forward(x, "train")._parents == (x, layer.scale, layer.shift)
+
+    def test_running_stats_follow_numpy_two_pass_update(self):
+        rng = np.random.default_rng(20)
+        m = 0.3
+        layer = BatchNorm1d(3, momentum=m)
+        layer.running_mean = rng.normal(size=3)
+        layer.running_var = rng.uniform(0.5, 2.0, 3)
+        for _ in range(3):
+            x = 5.0 + rng.normal(size=(4, 3, 9))
+            n = x.shape[0] * x.shape[2]
+            mean = x.mean(axis=(0, 2))
+            centered = x - mean[None, :, None]
+            unbiased = (centered * centered).mean(axis=(0, 2)) * (n / (n - 1.0))
+            expect_mean = (1.0 - m) * layer.running_mean + m * mean
+            expect_var = (1.0 - m) * layer.running_var + m * unbiased
+            layer.forward(Tensor(x), "train")
+            np.testing.assert_array_equal(layer.running_mean, expect_mean)
+            np.testing.assert_array_equal(layer.running_var, expect_var)
 
 
 def _eval_batchnorm(rng, channels):

@@ -1,15 +1,24 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdnn.autodiff import ShapeError, Tensor
+from scdnn.layers import relu
 from scdnn.model import (
+    BACKBONES,
     ModelConfig,
     ModelIOError,
+    _ResidualBlock,
     build_model,
     load_model,
     save_model,
     tiny_config,
 )
+from scdnn.satse import MASK_INDEX_MODES
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +49,49 @@ class TestConfig:
     def test_satse_count_helper(self):
         cfg = ModelConfig(n_classes=2).with_satse_count(2)
         assert cfg.satse_blocks_enabled == (True, True, False, False)
+
+    @pytest.mark.parametrize("line", [
+        "double_softmax=yes",
+        "tie_lambdas=",
+        "stem_maxpool=TRUE",
+        "satse_blocks_enabled=1,x,2,0",
+    ])
+    def test_malformed_boolean_rejected(self, line):
+        with pytest.raises(ValueError):
+            ModelConfig.from_text(f"n_classes=3\n{line}\n")
+
+    def test_boolean_spellings_accepted(self):
+        cfg = ModelConfig.from_text(
+            "n_classes=3\ndouble_softmax=true\nstem_maxpool=False\n"
+            "tie_lambdas=1\nsatse_blocks_enabled=0,True,false,1\n")
+        assert cfg.double_softmax and cfg.tie_lambdas and not cfg.stem_maxpool
+        assert cfg.satse_blocks_enabled == (False, True, False, True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_text_roundtrip_property(self, data):
+        n_stages = data.draw(st.integers(1, 4))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cfg = ModelConfig(
+            n_classes=data.draw(st.integers(1, 10_000)),
+            n_leads=data.draw(st.integers(1, 64)),
+            backbone=data.draw(st.sampled_from(sorted(BACKBONES))),
+            satse_blocks_enabled=data.draw(st.tuples(*[st.booleans()] * 4)),
+            fixed_phi=data.draw(st.none() | st.floats(
+                0.0, 1.0, exclude_min=True, exclude_max=True)),
+            mask_index_mode=data.draw(st.sampled_from(MASK_INDEX_MODES)),
+            double_softmax=data.draw(st.booleans()),
+            stem_maxpool=data.draw(st.booleans()),
+            precision=data.draw(st.sampled_from(["real32", "real64"])),
+            input_length=data.draw(st.none() | st.integers(8, 1 << 20)),
+            n_stages=n_stages,
+            stage_widths=data.draw(st.none() | st.tuples(
+                *[st.integers(1, 1024)] * n_stages)),
+            phi_init=data.draw(finite),
+            gamma_init=data.draw(finite),
+            tie_lambdas=data.draw(st.booleans()),
+        )
+        assert ModelConfig.from_text(cfg.to_text()) == cfg
 
 
 class TestBuild:
@@ -103,6 +155,45 @@ class TestBuild:
         assert m.satse[0].lambda_low is m.satse[1].lambda_low
         assert "satse.lambda_low" in m.named_parameters()
         assert "satse1.lambda_low" not in m.named_parameters()
+
+
+class TestResidualBlock:
+    # (c_in, c_out, kernel, stride, padding) per conv, as in He et al.
+    @pytest.mark.parametrize("kind, c_in, width, stride, convs", [
+        ("basic", 6, 6, 1, {"conv1": (6, 6, 3, 1, 1), "conv2": (6, 6, 3, 1, 1)}),
+        ("basic", 4, 6, 2, {"conv1": (4, 6, 3, 2, 1), "conv2": (6, 6, 3, 1, 1),
+                            "proj": (4, 6, 1, 2, 0)}),
+        ("bottleneck", 12, 3, 1, {"conv1": (12, 3, 1, 1, 0),
+                                  "conv2": (3, 3, 3, 1, 1),
+                                  "conv3": (3, 12, 1, 1, 0)}),
+        ("bottleneck", 4, 3, 2, {"conv1": (4, 3, 1, 1, 0), "conv2": (3, 3, 3, 2, 1),
+                                 "conv3": (3, 12, 1, 1, 0),
+                                 "proj": (4, 12, 1, 2, 0)}),
+    ])
+    def test_layers_and_wiring(self, kind, c_in, width, stride, convs):
+        rng = np.random.default_rng(3)
+        block = _ResidualBlock(kind, c_in, width, stride, rng, np.float64)
+        layers = block.named_layers()
+        assert [n for n in layers if "bn" not in n] == list(convs)
+        bn_of = {n: layers["proj_bn" if n == "proj" else "bn" + n[4:]]
+                 for n in convs}
+        for name, (ci, co, kernel, s, pad) in convs.items():
+            conv = layers[name]
+            assert conv.weight.data.shape == (co, ci, kernel) and conv.bias is None
+            assert (conv.stride, conv.padding) == (s, pad)
+            assert bn_of[name].channels == co
+
+        def pair(name, h):
+            return bn_of[name].forward(layers[name].forward(h), "train", False)
+
+        x = Tensor(rng.normal(size=(3, c_in, 10)))
+        h = pair("conv1", x)
+        for name in [n for n in convs if n.startswith("conv")][1:]:
+            h = pair(name, relu(h))
+        shortcut = pair("proj", x) if "proj" in convs else x
+        expect = relu(h + shortcut).data
+        got = block.forward(x, "train", False).data
+        np.testing.assert_array_equal(got, expect)
 
 
 class TestForward:
@@ -176,6 +267,68 @@ class TestPersistence:
                                           p.data)
         for name, buf in m.named_buffers().items():
             np.testing.assert_array_equal(loaded.named_buffers()[name], buf)
+
+    # SHA-256 of save_model's bytes for two seeded builds. They pin the
+    # registry's names and order, the construction order and the initial
+    # values; a change to any of them needs a new model format version.
+    GOLDEN = {
+        "resnet18": (
+            ModelConfig(n_classes=5, backbone="resnet18", input_length=128,
+                        stage_widths=(4, 8, 12, 16),
+                        satse_blocks_enabled=(True, False, True, True)),
+            "51a18fd927a69b5a3f4c7e82e152b594ac1fe4b3e70e63f4ce28051c67af64e7",
+        ),
+        "resnet50": (
+            ModelConfig(n_classes=3, n_leads=2, backbone="resnet50",
+                        input_length=96, n_stages=3, stage_widths=(2, 4, 6),
+                        precision="real32"),
+            "b0d3dd365f4769c68669e2b9f715eee854719dd39c881cbd50849c97ab76c6c0",
+        ),
+    }
+
+    @pytest.mark.parametrize("backbone", sorted(GOLDEN))
+    def test_golden_model_file_digest(self, tmp_path, backbone):
+        config, digest = self.GOLDEN[backbone]
+        path = tmp_path / "model.scdn"
+        save_model(build_model(config, seed=11), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.scdn"
+        save_model(build_model(tiny_config(), seed=9), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ModelIOError, match=f"trailing bytes .* offset {size}"):
+            load_model(path)
+
+    def test_repeated_entry_rejected(self, tmp_path):
+        m = build_model(tiny_config(), seed=9)
+        path = tmp_path / "model.scdn"
+        save_model(m, path)
+        raw = path.read_bytes()
+        # Header: magic, version u16, config length u32, config, entry count.
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        count_at = 10 + cfg_len
+        count = struct.unpack_from("<I", raw, count_at)[0]
+        name, first = next(iter(m.named_parameters().items()))
+        start = count_at + 4
+        size = 2 + len(name) + 2 + 4 * first.data.ndim + first.data.nbytes
+        entry = raw[start : start + size]
+        assert entry[2 : 2 + len(name)] == name.encode()
+        path.write_bytes(raw[:count_at] + struct.pack("<I", count + 1)
+                         + entry + raw[start:])
+        with pytest.raises(ModelIOError, match=f"repeated entry '{name}'"):
+            load_model(path)
+
+    def test_malformed_embedded_boolean_rejected(self, tmp_path):
+        path = tmp_path / "model.scdn"
+        save_model(build_model(tiny_config(), seed=9), path)
+        raw = path.read_bytes()
+        bad = raw.replace(b"double_softmax=False", b"double_softmax=Falsy")
+        assert bad != raw
+        path.write_bytes(bad)
+        with pytest.raises(ModelIOError, match="not a boolean"):
+            load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.scdn"

@@ -15,7 +15,7 @@ from scdnn.data import (
     write_ecgb,
 )
 from scdnn.model import build_model, load_model, tiny_config
-from scdnn.training import Hyperparams, evaluate, train
+from scdnn.training import Hyperparams, evaluate, run_ablation, train
 
 
 def toy(seed=0, n=10, length=64):
@@ -93,6 +93,29 @@ class TestTiedLambdas:
         names = model.named_parameters()
         assert "satse.lambda_low" in names
         assert "satse1.lambda_low" not in names
+
+    @pytest.mark.parametrize("overrides", [
+        {"satse_blocks_enabled": (False,) * 4},
+        # flags past n_stages build no block either
+        {"satse_blocks_enabled": (False, False, True, True)},
+    ])
+    def test_no_block_registers_no_shared_pair_and_trains(self, overrides):
+        ds = toy(5)
+        model = build_model(tiny_config(tie_lambdas=True, **overrides), seed=5)
+        assert all(sat is None for sat in model.satse)
+        assert not any("lambda" in name for name in model.named_parameters())
+        hyper = Hyperparams(epochs=1, batch_size=16, lr=1e-3, lr_drop_epoch=1,
+                            seed=5)
+        log = train(model, ds, hyper)
+        assert np.isfinite(log.rows[0].loss)
+
+    def test_satse_count_ablation_from_zero(self):
+        ds = toy(5)
+        hyper = Hyperparams(epochs=1, batch_size=16, lr=1e-3, lr_drop_epoch=1,
+                            seed=5)
+        table = run_ablation(tiny_config(tie_lambdas=True), "satse_count",
+                             [0, 1], ds, hyper)
+        assert [r.value for r in table.rows] == [0, 1]
 
 
 class TestMixedLengths:
