@@ -2,8 +2,8 @@
 the linear classifier head, and the cross-entropy loss.
 
 Layers own their parameter tensors; forward methods trace autodiff nodes.
-Convolution is cross-correlation (no kernel flip) and runs as im2col plus
-one GEMM per call.
+Convolution is cross-correlation (no kernel flip) and runs as one copy into a
+length-minor (C_in*k, B*L_out) im2col matrix plus one GEMM per call.
 """
 
 import numpy as np
@@ -49,6 +49,11 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
 
     `bias` is optional: convolutions feeding a BatchNorm layer omit it,
     since the normalization cancels any channel offset exactly.
+
+    One copy gathers the windows into `cols`, (C_in*k, B*L_out), whose row
+    (c, t) holds x_pad[b, c, j*stride + t] at column (b, j), so each copied
+    run is L_out values long. Then out = W @ cols, and the backward scatters
+    W.T @ g back onto the padded input one tap at a time (col2im).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv1d expects a (B, C, L) input, got {x.data.shape}")
@@ -65,30 +70,26 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
             f"kernel {kernel}, stride {stride}, padding {padding}"
         )
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    cols = (
-        _windows(xp, kernel, stride)
-        .transpose(0, 2, 1, 3)
-        .reshape(b * l_out, c_in * kernel)
-        .copy()
-    )
+    cols = np.ascontiguousarray(
+        _windows(xp, kernel, stride).transpose(1, 3, 0, 2)
+    ).reshape(c_in * kernel, b * l_out)
     wflat = weight.data.reshape(c_out, c_in * kernel)
     out = np.ascontiguousarray(
-        (cols @ wflat.T).reshape(b, l_out, c_out).transpose(0, 2, 1)
+        (wflat @ cols).reshape(c_out, b, l_out).transpose(1, 0, 2)
     )
     if bias is not None:
         out += bias.data[None, :, None]
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(b * l_out, c_out)
-        gw = (g2.T @ cols).reshape(c_out, c_in, kernel)
+        g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, b * l_out)
+        gw = (g2 @ cols.T).reshape(c_out, c_in, kernel)
         gx = None
         if x.requires_grad:
-            gwin = (g2 @ wflat).reshape(b, l_out, c_in, kernel)
+            gcols = (wflat.T @ g2).reshape(c_in, kernel, b, l_out)
             gxp = np.zeros_like(xp)
             for t in range(kernel):
-                gxp[:, :, t : t + stride * l_out : stride] += gwin[
-                    :, :, :, t
-                ].transpose(0, 2, 1)
+                tap = gcols[:, t].transpose(1, 0, 2)
+                gxp[:, :, t : t + stride * l_out : stride] += tap
             gx = gxp[:, :, padding : padding + length] if padding else gxp
         if bias is None:
             return gx, gw
@@ -225,7 +226,9 @@ class Linear:
 
 
 def max_pool1d(x, kernel, stride, padding=0):
-    """Windowed maximum along the length axis; pads with -inf."""
+    """Windowed maximum along the length axis (a running maximum over the k
+    strided taps); pads with -inf, and ties and the gradient go to the lowest index.
+    """
     b, c, length = x.data.shape
     l_out = (length + 2 * padding - kernel) // stride + 1
     if l_out < 1:
@@ -235,9 +238,12 @@ def max_pool1d(x, kernel, stride, padding=0):
                     constant_values=-np.inf)
     else:
         xp = x.data
-    win = _windows(xp, kernel, stride)
-    arg = win.argmax(axis=3)
-    out = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+    out = xp[:, :, 0 : stride * l_out : stride].copy()
+    arg = np.zeros(out.shape, np.intp)
+    for t in range(1, kernel):
+        tap = xp[:, :, t : t + stride * l_out : stride]
+        np.copyto(arg, t, where=tap > out)
+        np.maximum(out, tap, out=out)
 
     def backward(g):
         gxp = np.zeros_like(xp)

@@ -151,15 +151,19 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text):
-        raw = {}
+        raw, where = {}, {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"config line {lineno} is not key=value: {line!r}")
-            k, v = line.split("=", 1)
-            raw[k.strip()] = v.strip()
+            k, v = (part.strip() for part in line.split("=", 1))
+            if k in raw:
+                raise ValueError(
+                    f"config key {k!r} repeated on lines {where[k]} and {lineno}"
+                )
+            raw[k], where[k] = v, lineno
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
@@ -466,8 +470,7 @@ _CODE_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 def _entries(model):
     for name, p in model._params.items():
         yield name, p.data
-    for name in sorted(dict(model.named_buffers())):
-        yield name, model.named_buffers()[name]
+    yield from sorted(model.named_buffers().items())
 
 
 def save_model(model, path):

@@ -53,13 +53,14 @@ class TestContainer:
         assert err.value.offset == 0
 
     def test_truncation_reports_offset(self, tmp_path):
-        ds = small_dataset()
         path = tmp_path / "d.ecgb"
-        write_ecgb(ds, path)
+        write_ecgb(small_dataset(), path)
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 3])
-        with pytest.raises(EcgbFormatError, match="byte"):
-            read_ecgb(path)
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(EcgbFormatError, match="byte") as err:
+                read_ecgb(path)
+            assert err.value.offset <= cut
 
     def test_trailing_garbage_rejected(self, tmp_path):
         ds = small_dataset()

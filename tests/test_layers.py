@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdnn.autodiff import (
     Graph,
@@ -98,6 +100,97 @@ class TestConv1d:
         rep = grad_check(Graph(build, {"w": layer.weight, "b": layer.bias}),
                          {"x": x})
         assert rep.passed
+
+    @pytest.mark.parametrize("kernel,stride,padding,length", [
+        (3, 2, 1, 9), (2, 3, 2, 7), (1, 1, 0, 5),
+    ])
+    def test_input_gradients(self, kernel, stride, padding, length):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        layer = Conv1d(3, 4, kernel, stride=stride, padding=padding, rng=rng)
+        x = Tensor(rng.normal(size=(2, 3, length)), requires_grad=True)
+        l_out = (length + 2 * padding - kernel) // stride + 1
+        w = rng.normal(size=(2, 4, l_out))
+
+        def build(p, i):
+            return (layer.forward(p["x"]) * Tensor(w)).sum()
+
+        rep = grad_check(
+            Graph(build, {"x": x, "w": layer.weight, "b": layer.bias}), {}
+        )
+        assert rep.passed, rep
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_and_batch_major_im2col(self, data):
+        # Output against the loop oracle; gradients against the batch-major
+        # im2col formula, cols of shape (B*L_out, C_in*k), written out here.
+        # Errors are measured against the same formulas on absolute values,
+        # the summed magnitude of each quantity's terms.
+        kernel = data.draw(st.integers(1, 5))
+        stride = data.draw(st.integers(1, 7))
+        padding = data.draw(st.integers(0, 6))
+        length = data.draw(st.integers(max(1, kernel - 2 * padding), 24))
+        bsz, c_in, c_out = (data.draw(st.integers(1, n)) for n in (3, 4, 4))
+        with_bias = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=(bsz, c_in, length))
+        w = rng.normal(size=(c_out, c_in, kernel))
+        b = rng.normal(size=c_out) if with_bias else None
+        l_out = (length + 2 * padding - kernel) // stride + 1
+        g = rng.normal(size=(bsz, c_out, l_out))
+
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True) if with_bias else None
+        out = conv1d(xt, wt, bt, stride, padding)
+        (out * Tensor(g)).sum().backward()
+
+        def batch_major(x, w, g):
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+            taps = np.arange(l_out)[:, None] * stride + np.arange(kernel)
+            cols = xp[:, :, taps].transpose(0, 2, 1, 3).reshape(
+                bsz * l_out, c_in * kernel)
+            g2 = g.transpose(0, 2, 1).reshape(bsz * l_out, c_out)
+            gwin = (g2 @ w.reshape(c_out, -1)).reshape(bsz, l_out, c_in, kernel)
+            gxp = np.zeros_like(xp)
+            for t in range(kernel):
+                gxp[:, :, t : t + stride * l_out : stride] += gwin[
+                    :, :, :, t].transpose(0, 2, 1)
+            return gxp[:, :, padding : padding + length], (g2.T @ cols).reshape(
+                w.shape)
+
+        ref_gx, ref_gw = batch_major(x, w, g)
+        mag_gx, mag_gw = batch_major(np.abs(x), np.abs(w), np.abs(g))
+        mag_b = np.abs(b) if with_bias else None
+        checks = [
+            (out.data, naive_conv1d(x, w, b, stride, padding),
+             naive_conv1d(np.abs(x), np.abs(w), mag_b, stride, padding)),
+            (xt.grad, ref_gx, mag_gx),
+            (wt.grad, ref_gw, mag_gw),
+        ]
+        if with_bias:
+            checks.append((bt.grad, g.sum(axis=(0, 2)), np.abs(g).sum(axis=(0, 2))))
+        for got, ref, magnitude in checks:
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(2, 3, 10)).astype(np.float32),
+                   requires_grad=True)
+        layer = Conv1d(3, 5, 3, stride=2, padding=1, rng=rng, dtype=np.float32)
+        out = layer.forward(x)
+        assert out.data.dtype == np.float32
+        # The node's own gradients, before the engine casts to leaf dtypes.
+        grads = out._backward(np.ones_like(out.data))
+        assert [g.dtype for g in grads] == [np.float32] * 3
+
+    def test_no_input_gradient_without_requires_grad(self):
+        rng = np.random.default_rng(22)
+        w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+        out = conv1d(Tensor(rng.normal(size=(2, 3, 8))), w, None, 1, 1)
+        gx, gw = out._backward(np.ones_like(out.data))
+        assert gx is None
+        assert gw.shape == w.data.shape
 
 
 class TestBatchNorm:
@@ -357,6 +450,32 @@ class TestReluAndPools:
             [xp[:, :, 2 * j : 2 * j + 3].max(axis=2) for j in range(5)], axis=2
         )
         np.testing.assert_array_equal(out, expect)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (3, 2, 1), (2, 2, 0), (4, 1, 2), (3, 3, 0), (5, 2, 1),
+    ])
+    def test_max_pool_ties_route_to_lowest_index(self, kernel, stride, padding):
+        # Values drawn from {0, 1, 2} plant ties in almost every window.
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = rng.integers(0, 3, size=(2, 3, 13)).astype(np.float64)
+        g = rng.normal(size=(2, 3, (13 + 2 * padding - kernel) // stride + 1))
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool1d(xt, kernel, stride, padding)
+        (out * Tensor(g)).sum().backward()
+
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)),
+                    constant_values=-np.inf)
+        expect = np.zeros_like(g)
+        gxp = np.zeros_like(xp)
+        for n in range(2):
+            for c in range(3):
+                for j in range(g.shape[2]):
+                    win = list(xp[n, c, stride * j : stride * j + kernel])
+                    expect[n, c, j] = max(win)
+                    gxp[n, c, stride * j + win.index(max(win))] += g[n, c, j]
+        np.testing.assert_array_equal(out.data, expect)
+        np.testing.assert_allclose(xt.grad, gxp[:, :, padding : padding + 13],
+                                   rtol=0, atol=1e-12)
 
     def test_pool_gradients(self):
         rng = np.random.default_rng(12)

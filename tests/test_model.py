@@ -93,6 +93,11 @@ class TestConfig:
         )
         assert ModelConfig.from_text(cfg.to_text()) == cfg
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError,
+                           match="'n_classes' repeated on lines 1 and 3"):
+            ModelConfig.from_text("n_classes=3\n# comment\n n_classes = 7\n")
+
 
 class TestBuild:
     def test_resnet18_head_width(self):
@@ -330,6 +335,17 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match="not a boolean"):
             load_model(path)
 
+    def test_repeated_embedded_key_rejected(self, tmp_path):
+        path = tmp_path / "model.scdn"
+        save_model(build_model(tiny_config(), seed=9), path)
+        raw = path.read_bytes()
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        cfg = raw[10 : 10 + cfg_len] + b"n_classes=7\n"
+        path.write_bytes(raw[:6] + struct.pack("<I", len(cfg)) + cfg
+                         + raw[10 + cfg_len :])
+        with pytest.raises(ModelIOError, match="'n_classes' repeated on lines"):
+            load_model(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.scdn"
         path.write_bytes(b"XXXX" + bytes(64))
@@ -337,13 +353,35 @@ class TestPersistence:
             load_model(path)
 
     def test_truncation_rejected(self, tmp_path):
+        # Every cut in the header, the config, the entry count and each
+        # entry's name, dtype and shape fields, and the first, middle and
+        # last cut inside each entry's values: cuts within one value block
+        # all fail at the same read, so the others add only time.
         m = build_model(tiny_config(), seed=9)
+        arrays = {name: p.data for name, p in m.named_parameters().items()}
+        arrays.update(m.named_buffers())
         path = tmp_path / "model.scdn"
         save_model(m, path)
         raw = path.read_bytes()
-        for cut in (3, 10, len(raw) // 2, len(raw) - 5):
+        at = 10 + struct.unpack_from("<I", raw, 6)[0]
+        count = struct.unpack_from("<I", raw, at)[0]
+        at += 4
+        cuts = set(range(at))
+        for _ in range(count):
+            start = at
+            n = struct.unpack_from("<H", raw, at)[0]
+            name = raw[at + 2 : at + 2 + n].decode()
+            at += 2 + n
+            at += 2 + 4 * raw[at + 1]
+            cuts.update(range(start, at + 1))
+            size = arrays[name].nbytes
+            cuts.update((at + size // 2, at + size - 1))
+            at += size
+        assert at == len(raw) and len(cuts) > 1000
+        cuts.update((len(raw) // 2, len(raw) - 5))
+        for cut in sorted(cuts):
             path.write_bytes(raw[:cut])
-            with pytest.raises(ModelIOError):
+            with pytest.raises(ModelIOError, match="truncated"):
                 load_model(path)
 
     def test_wrong_version_rejected(self, tmp_path):
