@@ -34,6 +34,14 @@ def fan_in_uniform(rng, shape, fan_in, dtype=np.float64):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _check_window(op, kernel, stride, padding):
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise ShapeError(
+            f"{op}: kernel {kernel} and stride {stride} must be >= 1 and "
+            f"padding {padding} >= 0"
+        )
+
+
 def _windows(x, kernel, stride):
     """Strided view (B, C, L_out, k) over the padded length axis."""
     b, c, length = x.shape
@@ -59,6 +67,7 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
         raise ShapeError(f"conv1d expects a (B, C, L) input, got {x.data.shape}")
     b, c_in, length = x.data.shape
     c_out, c_in_w, kernel = weight.data.shape
+    _check_window("conv1d", kernel, stride, padding)
     if c_in != c_in_w:
         raise ShapeError(
             f"conv1d: input has {c_in} channels but kernel expects {c_in_w}"
@@ -123,23 +132,32 @@ class Conv1d:
 
 
 class BatchNorm1d:
-    """Per-channel normalization over (batch, length) with running statistics.
+    """Per-channel normalization over (batch, length) with running statistics,
+    optionally fused with a residual add and a ReLU.
 
     The mode chooses only the statistics. Train mode uses the batch mean and
     biased variance (two passes) and updates the running estimates with
     `momentum`, using the unbiased variance n / (n - 1) * var; eval mode uses
     the running estimates. Both modes then run as one node,
 
-        out = x * a + b,   a = scale / sqrt(var + eps),   b = shift - mean * a,
+        out = relu(x * a + b + residual),
+        a = scale / sqrt(var + eps) = scale * inv,   b = shift - mean * a,
 
-    whose backward is closed form, with xhat = (x - mean) / sqrt(var + eps),
-    N = batch * length and every sum over batch and length:
+    where the residual term is dropped when `residual` is None and the relu
+    when `relu` is false. The backward is closed form. With N = batch * length,
+    every sum over batch and length, and g' = g * (out > 0) under relu (the
+    mask is read from the output, so no pre-activation array is kept), else
+    g' = g:
 
-        dscale = sum(g * xhat),   dshift = sum(g),
-        dx = g * a                                           (eval)
-        dx = a * (g - (sum(g) + xhat * sum(g * xhat)) / N)   (train)
+        dshift = sum(g'),   dscale = inv * sum(g' * (x - mean)),
+        dresidual = g',
+        dx = a * g'                                  (eval)
+        dx = a * g' + c1 * (x - mean) + c0           (train)
+        c1 = -a * inv * dscale / N,   c0 = -a * dshift / N.
 
-    The train-mode dx carries the gradient through the batch statistics.
+    c1 and c0 are per channel and carry the gradient through the batch
+    statistics; this is a * (g' - (dshift + xhat * dscale) / N) with
+    xhat = (x - mean) * inv, without building xhat.
     """
 
     def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float64):
@@ -151,7 +169,8 @@ class BatchNorm1d:
         self.momentum = momentum
         self.channels = channels
 
-    def forward(self, x, mode="train", update_running=None):
+    def forward(self, x, mode="train", update_running=None, residual=None,
+                relu=False):
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown batchnorm mode {mode!r}")
         if update_running is None:
@@ -169,7 +188,7 @@ class BatchNorm1d:
                 raise ValueError("train-mode batchnorm requires batch size >= 2")
             mean = x.data.mean(axis=(0, 2))
             centered = x.data - mean[:, None]
-            var = (centered * centered).mean(axis=(0, 2))
+            var = np.square(centered, out=centered).mean(axis=(0, 2))
             if update_running:
                 unbiased = var * (n / (n - 1.0))
                 m = self.momentum
@@ -178,21 +197,36 @@ class BatchNorm1d:
         mean = mean[:, None]
         inv = (1.0 / np.sqrt(var + self.eps))[:, None]
         a = self.scale.data[:, None] * inv
-        out = x.data * a + (self.shift.data[:, None] - mean * a)
+        out = x.data * a
+        out += self.shift.data[:, None] - mean * a
+        if residual is not None:
+            out += residual.data
+        if relu:
+            np.maximum(out, 0.0, out=out)
 
         def backward(g):
-            xhat = (x.data - mean) * inv
+            if relu:
+                g = g * (out > 0)
+            xc = x.data - mean
             dshift = g.sum(axis=(0, 2))
-            dscale = (g * xhat).sum(axis=(0, 2))
+            dscale = inv[:, 0] * np.einsum("bcl,bcl->c", g, xc)
             dx = None
             if x.requires_grad:
-                if mode == "eval":
-                    dx = g * a
-                else:
-                    dx = a * (g - (dshift[:, None] + xhat * dscale[:, None]) / n)
-            return dx, dscale, dshift
+                dx = g * a
+                if mode == "train":
+                    c1 = -a * inv * dscale[:, None] / n
+                    c0 = -a * dshift[:, None] / n
+                    xc *= c1
+                    dx += xc
+                    dx += c0
+            if residual is None:
+                return dx, dscale, dshift
+            return dx, dscale, dshift, g
 
-        return _node(out, (x, self.scale, self.shift), backward)
+        parents = (x, self.scale, self.shift)
+        if residual is not None:
+            parents += (residual,)
+        return _node(out, parents, backward)
 
 
 def linear(x, weight, bias):
@@ -229,6 +263,9 @@ def max_pool1d(x, kernel, stride, padding=0):
     """Windowed maximum along the length axis (a running maximum over the k
     strided taps); pads with -inf, and ties and the gradient go to the lowest index.
     """
+    if x.data.ndim != 3:
+        raise ShapeError(f"max_pool1d expects a (B, C, L) input, got {x.data.shape}")
+    _check_window("max_pool1d", kernel, stride, padding)
     b, c, length = x.data.shape
     l_out = (length + 2 * padding - kernel) // stride + 1
     if l_out < 1:

@@ -3,11 +3,13 @@ spectral enhancement blocks, pooled into a linear classifier head.
 
 Architecture, front to back:
 
-    stem:   conv(k=7, stride=2, pad=3) -> batchnorm -> relu
+    stem:   conv(k=7, stride=2, pad=3) -> batchnorm+relu
             [-> maxpool(k=3, stride=2, pad=1) when enabled]
     stages: basic or bottleneck residual blocks per backbone depth;
             stages after the first downsample by stride 2 with a 1x1
             projection shortcut
+            (every batchnorm+relu, and the batchnorm+shortcut+relu that
+            ends a block, is one fused autodiff node: see BatchNorm1d)
     per stage: optional SATSE block on the stage output
     head:   concat(avg-pool, max-pool) -> linear -> logits
 
@@ -19,6 +21,7 @@ bytes follow the last entry. Entries cover both trainable parameters and
 batchnorm running statistics, so a round trip is bitwise.
 """
 
+import math
 import struct
 from dataclasses import dataclass, fields, replace
 
@@ -31,7 +34,6 @@ from .layers import (
     Linear,
     max_pool1d,
     pooled_features,
-    relu,
 )
 from .satse import MASK_INDEX_MODES, SatseBlock
 
@@ -216,8 +218,10 @@ class _ResidualBlock:
 
     "basic" is conv3-bn-relu-conv3-bn with the stride on the first conv;
     "bottleneck" is a 1x1 reduce, a strided 3x3 and a 1x1 expand to
-    4 * width. Relu follows every pair but the last. A 1x1 projection with
-    batchnorm replaces the identity shortcut when the stride or the channel
+    4 * width. Every pair's batchnorm applies the relu itself, and the last
+    pair's also adds the shortcut first, so a block of k pairs is k conv
+    nodes and k fused batchnorm nodes. A 1x1 projection with batchnorm
+    (no relu) replaces the identity shortcut when the stride or the channel
     count changes.
     """
 
@@ -241,16 +245,17 @@ class _ResidualBlock:
                          BatchNorm1d(c, dtype=dtype))
 
     def forward(self, x, mode, update_running):
-        h = x
-        for i, (conv, bn) in enumerate(self.pairs):
-            if i:
-                h = relu(h)
-            h = bn.forward(conv.forward(h), mode, update_running)
         shortcut = x
         if self.proj is not None:
             conv, bn = self.proj
             shortcut = bn.forward(conv.forward(x), mode, update_running)
-        return relu(h + shortcut)
+        h = x
+        last = len(self.pairs) - 1
+        for i, (conv, bn) in enumerate(self.pairs):
+            # Positional, so that wrappers forwarding *args pass them on.
+            h = bn.forward(conv.forward(h), mode, update_running,
+                           shortcut if i == last else None, True)
+        return h
 
     def named_layers(self):
         out = {}
@@ -410,8 +415,8 @@ class ScdnnModel:
             )
         if update_running is None:
             update_running = mode == "train"
-        h = relu(self.stem_bn.forward(self.stem_conv.forward(x), mode,
-                                      update_running))
+        h = self.stem_bn.forward(self.stem_conv.forward(x), mode,
+                                 update_running, None, True)
         if self.config.stem_maxpool:
             h = max_pool1d(h, 3, 2, 1)
         for s, blocks in enumerate(self.stages):
@@ -516,8 +521,37 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+def _read_entries(r):
+    """Parse every entry into {name: array}, checking the file's structure:
+    truncation, dtype codes, repeated names and trailing bytes."""
+    entries = {}
+    for _ in range(r.u32("entry count")):
+        name = r.take(r.u16("name length"), "name").decode("utf-8")
+        if name in entries:
+            raise ModelIOError(f"repeated entry {name!r} in model file")
+        code, rank = struct.unpack("<BB", r.take(2, "dtype/rank"))
+        if code not in _CODE_DTYPES:
+            raise ModelIOError(f"unknown dtype code {code} for entry {name!r}")
+        shape = tuple(r.u32("dim") for _ in range(rank))
+        count = math.prod(shape)  # a Python int: no int64 wrap-around
+        raw = r.take(count * _CODE_DTYPES[code].itemsize, f"values of {name!r}")
+        entries[name] = np.frombuffer(raw, dtype=_CODE_DTYPES[code]).reshape(shape)
+    if r.offset != len(r.data):
+        raise ModelIOError(
+            f"{len(r.data) - r.offset} trailing bytes after the last entry at "
+            f"offset {r.offset}"
+        )
+    return entries
+
+
 def load_model(path):
-    """Rebuild a model from disk; any structural mismatch raises ModelIOError."""
+    """Rebuild a model from disk; any structural mismatch raises ModelIOError.
+
+    The whole file is parsed and its structure checked before the model is
+    built, so a truncated or malformed file fails without drawing an
+    initialisation. Entry names and shapes depend on the architecture, so
+    they are checked against the built model.
+    """
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(4, "magic") != MODEL_MAGIC:
@@ -530,43 +564,28 @@ def load_model(path):
         config = ModelConfig.from_text(r.take(cfg_len, "config").decode("utf-8"))
     except ValueError as exc:
         raise ModelIOError(f"invalid embedded config: {exc}") from exc
+    entries = _read_entries(r)
 
     model = build_model(config, seed=0)
     params = model._params
     buffers = {name: (obj, attr) for name, obj, attr in model._buffers}
-    expected = set(params) | set(buffers)
-    seen = set()
-    n_entries = r.u32("entry count")
-    for _ in range(n_entries):
-        name = r.take(r.u16("name length"), "name").decode("utf-8")
-        if name in seen:
-            raise ModelIOError(f"repeated entry {name!r} in model file")
-        code, rank = struct.unpack("<BB", r.take(2, "dtype/rank"))
-        if code not in _CODE_DTYPES:
-            raise ModelIOError(f"unknown dtype code {code} for entry {name!r}")
-        shape = tuple(r.u32("dim") for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = r.take(count * _CODE_DTYPES[code].itemsize, f"values of {name!r}")
-        arr = np.frombuffer(raw, dtype=_CODE_DTYPES[code]).reshape(shape).copy()
+    for name, arr in entries.items():
         if name in params:
-            if params[name].data.shape != arr.shape:
-                raise ModelIOError(
-                    f"entry {name!r} has shape {arr.shape}, model expects "
-                    f"{params[name].data.shape}"
-                )
-            params[name].data = arr.astype(params[name].data.dtype, copy=False)
+            target = params[name].data
         elif name in buffers:
-            obj, attr = buffers[name]
-            setattr(obj, attr, arr.astype(getattr(obj, attr).dtype, copy=False))
+            target = getattr(*buffers[name])
         else:
             raise ModelIOError(f"unexpected entry {name!r} in model file")
-        seen.add(name)
-    if r.offset != len(r.data):
-        raise ModelIOError(
-            f"{len(r.data) - r.offset} trailing bytes after the last entry at "
-            f"offset {r.offset}"
-        )
-    missing = expected - seen
+        if arr.shape != target.shape:
+            raise ModelIOError(
+                f"entry {name!r} has shape {arr.shape}, model expects "
+                f"{target.shape}"
+            )
+        if name in params:
+            params[name].data = arr.astype(target.dtype)
+        else:
+            setattr(*buffers[name], arr.astype(target.dtype))
+    missing = (set(params) | set(buffers)) - set(entries)
     if missing:
         raise ModelIOError(f"model file is missing entries: {sorted(missing)[:5]}")
     return model

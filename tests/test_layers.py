@@ -82,6 +82,14 @@ class TestConv1d:
             conv1d(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 5))),
                    Tensor(np.zeros(1)))
 
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (0, 1, 0), (3, 0, 1), (3, 1, -1),
+    ])
+    def test_bad_window_rejected(self, kernel, stride, padding):
+        x, w = Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 2, kernel)))
+        with pytest.raises(ShapeError, match="kernel .* stride .* padding"):
+            conv1d(x, w, None, stride, padding)
+
     def test_channel_mismatch_fails(self):
         with pytest.raises(ShapeError, match="channels"):
             conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 3))),
@@ -193,6 +201,24 @@ class TestConv1d:
         assert gw.shape == w.data.shape
 
 
+def _generic_batchnorm(layer, p, mode):
+    """BatchNorm of p["x"] built from generic nodes, the unfused reference:
+    (x - mean) * inv * scale + shift. Train mode takes two-pass batch
+    statistics and (var + eps) ** -0.5 as exp(-0.5 * log(var + eps)); eval
+    mode takes the running estimates as constants."""
+    c = layer.channels
+    if mode == "train":
+        mu = reduce_mean(p["x"], axis=(0, 2), keepdims=True)
+        centered = sub(p["x"], mu)
+        var = reduce_mean(mul(centered, centered), axis=(0, 2), keepdims=True)
+        inv = exp(mul(log(add(var, layer.eps)), -0.5))
+    else:
+        centered = sub(p["x"], Tensor(layer.running_mean[None, :, None]))
+        inv = Tensor(1.0 / np.sqrt(layer.running_var + layer.eps)[None, :, None])
+    return add(mul(mul(centered, inv), reshape(p["scale"], (1, c, 1))),
+               reshape(p["shift"], (1, c, 1)))
+
+
 class TestBatchNorm:
     def test_constant_channel_maps_to_zero(self):
         layer = BatchNorm1d(2)
@@ -282,13 +308,7 @@ class TestTrainBatchNorm:
         w = rng.normal(size=shape)
 
         def unfused(p):
-            mu = reduce_mean(p["x"], axis=(0, 2), keepdims=True)
-            centered = sub(p["x"], mu)
-            var = reduce_mean(mul(centered, centered), axis=(0, 2),
-                              keepdims=True)
-            inv = exp(mul(log(add(var, layer.eps)), -0.5))
-            return add(mul(mul(centered, inv), reshape(p["scale"], (1, c, 1))),
-                       reshape(p["shift"], (1, c, 1)))
+            return _generic_batchnorm(layer, p, "train")
 
         def fused(p):
             return layer.forward(p["x"], "train", update_running=False)
@@ -388,9 +408,7 @@ class TestEvalBatchNorm:
         shift = layer.shift.data[None, :, None]
 
         def unfused(p):
-            xhat = mul(sub(p["x"], Tensor(rm)), Tensor(inv))
-            return add(mul(xhat, reshape(p["scale"], (1, c, 1))),
-                       reshape(p["shift"], (1, c, 1)))
+            return _generic_batchnorm(layer, p, "eval")
 
         def fused(p):
             return layer.forward(p["x"], "eval")
@@ -417,6 +435,159 @@ class TestEvalBatchNorm:
         for name, err in errors.items():
             assert err.shape == magnitude[name].shape, name
             assert (err / magnitude[name]).max() <= 1e-12, name
+
+
+def _fused_case(seed, shape, mode, dtype=np.float64):
+    """A layer, input, residual and upstream weights; channel 0's mean is
+    1200 times its standard deviation."""
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    layer = BatchNorm1d(c, dtype=dtype)
+    layer.scale.data[:] = rng.uniform(0.5, 1.5, c)
+    layer.shift.data[:] = rng.normal(size=c) * 0.3
+    x = rng.normal(size=shape)
+    x[:, 0] = 1200.0 + x[:, 0] / x[:, 0].std()
+    if mode == "eval":
+        layer.running_mean = (x.mean(axis=(0, 2)) + rng.normal(size=c)).astype(dtype)
+        layer.running_var = (x.var(axis=(0, 2)) * rng.uniform(0.5, 2.0, c)).astype(dtype)
+    x = Tensor(x.astype(dtype), requires_grad=True)
+    r = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    return layer, x, r, rng.normal(size=shape).astype(dtype)
+
+
+class TestFusedBatchNorm:
+    """relu(bn(x) + residual) as one node against the unfused composition."""
+
+    @pytest.mark.parametrize("shape", [(3, 4, 7), (6, 3, 16)])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("with_residual", [False, True])
+    @pytest.mark.parametrize("with_relu", [False, True])
+    def test_matches_unfused_composition(self, shape, mode, with_residual,
+                                         with_relu):
+        # Output: bit-identical to the plain node followed by add and relu
+        # nodes. Gradients: against the generic-node composition, with each
+        # error measured against the summed magnitude of its terms.
+        seed = sum(shape) + 10 * with_residual + 100 * with_relu
+        layer, x, r, w = _fused_case(seed, shape, mode)
+        residual = r if with_residual else None
+        n = shape[0] * shape[2]
+
+        def unfused(p, plain):
+            h = (layer.forward(p["x"], mode, False) if plain
+                 else _generic_batchnorm(layer, p, mode))
+            if with_residual:
+                h = add(h, p["r"])
+            return relu(h) if with_relu else h
+
+        def fused(p):
+            return layer.forward(p["x"], mode, False,
+                                 p["r"] if with_residual else None, with_relu)
+
+        params = {"x": x, "scale": layer.scale, "shift": layer.shift}
+        if with_residual:
+            params["r"] = r
+        node = fused(params)
+        assert node._parents == (x, layer.scale, layer.shift) + (
+            (r,) if with_residual else ())
+        np.testing.assert_array_equal(node.data, unfused(params, True).data)
+
+        grads = []
+        for f in (lambda p: unfused(p, False), fused):
+            graph = Graph(lambda p, i, f=f: (f(p) * Tensor(w)).sum(), params)
+            graph.forward({})
+            grads.append(graph.backward())
+        ref, got = grads
+
+        if mode == "train":
+            mean = x.data.mean(axis=(0, 2), keepdims=True)
+            inv = 1.0 / np.sqrt(x.data.var(axis=(0, 2), keepdims=True) + layer.eps)
+        else:
+            mean = layer.running_mean[None, :, None]
+            inv = 1.0 / np.sqrt(layer.running_var + layer.eps)[None, :, None]
+        a = np.abs(layer.scale.data[None, :, None] * inv)
+        gm = np.abs(w) * (node.data > 0) if with_relu else np.abs(w)
+        xhat = np.abs(x.data - mean) * inv
+        sum_g = gm.sum(axis=(0, 2), keepdims=True)
+        sum_gx = (gm * xhat).sum(axis=(0, 2), keepdims=True)
+        magnitude = {
+            "x": a * (gm + (sum_g + xhat * sum_gx) / n) if mode == "train"
+            else a * gm,
+            "scale": sum_gx.reshape(-1),
+            "shift": sum_g.reshape(-1),
+            "r": gm,
+        }
+        for name in params:
+            err = np.abs(got[name] - ref[name])
+            assert err.shape == magnitude[name].shape, name
+            assert np.all(err <= 1e-12 * magnitude[name]), name
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_grad_check(self, mode):
+        layer, x, r, w = _fused_case(23, (3, 2, 5), mode)
+
+        def build(p, i):
+            out = layer.forward(p["x"], mode, False, p["r"], True)
+            return (out * Tensor(w)).sum()
+
+        params = {"x": x, "scale": layer.scale, "shift": layer.shift, "r": r}
+        rep = grad_check(Graph(build, params), {})
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_mask_of_planted_zeros_is_out_positive(self, mode):
+        # Residual entries that cancel the normalized input exactly give a
+        # pre-activation of exactly 0, where relu passes no gradient.
+        layer, x, r, w = _fused_case(24, (4, 3, 10), mode)
+        plain = layer.forward(x, mode, False).data
+        planted = np.random.default_rng(25).random(plain.shape) < 0.3
+        r.data[planted] = -plain[planted]
+        out = layer.forward(x, mode, False, r, True)
+        assert np.all(out.data[planted] == 0.0)
+        (out * Tensor(w)).sum().backward()
+
+        ref = {"x": x, "r": r}
+        ref = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in ref.items()}
+        (relu(add(layer.forward(ref["x"], mode, False), ref["r"]))
+         * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(r.grad, w * (plain + r.data > 0))
+        assert np.all(r.grad[planted] == 0.0)
+        np.testing.assert_array_equal(r.grad, ref["r"].grad)
+        np.testing.assert_array_equal(x.grad, ref["x"].grad)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_float32_stays_float32(self, mode):
+        layer, x, r, w = _fused_case(26, (3, 4, 9), mode, np.float32)
+        out = layer.forward(x, mode, False, r, True)
+        assert out.data.dtype == np.float32
+        # The node's own gradients, before the engine casts to leaf dtypes.
+        grads = out._backward(w)
+        assert [g.dtype for g in grads] == [np.float32] * 4
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_residual_fan_out_accumulates_both_paths(self, mode):
+        # As in a residual block: the input feeds the conv and the shortcut.
+        rng = np.random.default_rng(27)
+        x = Tensor(rng.normal(size=(4, 3, 9)), requires_grad=True)
+        w = rng.normal(size=(4, 3, 9))
+        conv = Conv1d(3, 3, 3, 1, 1, bias=False, rng=rng)
+        layer = BatchNorm1d(3)
+        layer.forward(conv.forward(x), "train")  # move the running statistics
+
+        def build(p, i):
+            out = layer.forward(conv.forward(p["x"]), mode, False, p["r"], True)
+            return (out * Tensor(w)).sum()
+
+        params = {"x": x, "weight": conv.weight, "scale": layer.scale,
+                  "shift": layer.shift}
+        rep = grad_check(Graph(build, {**params, "r": x}), {})
+        assert rep.passed, rep
+        shared = Graph(build, {**params, "r": x})
+        shared.forward({})
+        both = shared.backward()["x"]
+        apart = Graph(build, {**params, "r": Tensor(x.data, requires_grad=True)})
+        apart.forward({})
+        grads = apart.backward()
+        np.testing.assert_array_equal(both, grads["x"] + grads["r"])
 
 
 class TestReluAndPools:
@@ -476,6 +647,17 @@ class TestReluAndPools:
         np.testing.assert_array_equal(out.data, expect)
         np.testing.assert_allclose(xt.grad, gxp[:, :, padding : padding + 13],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        (0, 2, 0), (3, 0, 1), (3, 1, -1),
+    ])
+    def test_max_pool_bad_window_rejected(self, kernel, stride, padding):
+        with pytest.raises(ShapeError, match="kernel .* stride .* padding"):
+            max_pool1d(Tensor(np.ones((1, 2, 8))), kernel, stride, padding)
+
+    def test_max_pool_rejects_non_3d_input(self):
+        with pytest.raises(ShapeError, match=r"\(B, C, L\) input"):
+            max_pool1d(Tensor(np.ones((2, 8))), 3, 2, 1)
 
     def test_pool_gradients(self):
         rng = np.random.default_rng(12)

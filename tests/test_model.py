@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdnn.autodiff import ShapeError, Tensor
-from scdnn.layers import relu
+from scdnn.layers import cross_entropy, relu
 from scdnn.model import (
     BACKBONES,
     ModelConfig,
@@ -245,6 +245,24 @@ class TestForward:
                                                       match="stage 1"):
             m.forward(x, "eval")
 
+    def test_training_graph_node_count(self):
+        # 86 parameter leaves, the input and 50 interior nodes: 20 convs,
+        # 20 batchnorms (each with its relu and, ending a block, the shortcut
+        # add fused in), the stem max-pool, 4 SATSE blocks, the two pools,
+        # their concat, the head and the loss.
+        m = build_model(ModelConfig(n_classes=4, input_length=128,
+                                    stage_widths=(4, 8, 12, 16)), seed=3)
+        x = np.random.default_rng(0).normal(size=(4, 12, 128))
+        loss = cross_entropy(m.forward(x, "train"), np.arange(4))
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(m.named_parameters()) == 86
+        assert len(seen) == 137
+
     def test_train_mode_updates_running_stats_eval_does_not(self):
         m = build_model(tiny_config(), seed=2)
         before = m.stem_bn.running_mean.copy()
@@ -393,6 +411,73 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelIOError, match="version"):
             load_model(path)
+
+    def _saved_with(self, tmp_path, edit):
+        """Save a tiny model after `edit(model)` alters what gets written."""
+        m = build_model(tiny_config(), seed=9)
+        edit(m)
+        path = tmp_path / "model.scdn"
+        save_model(m, path)
+        return path
+
+    def test_unexpected_entry_rejected(self, tmp_path):
+        path = self._saved_with(tmp_path, lambda m: None)
+        path.write_bytes(path.read_bytes().replace(b"head.fc.bias",
+                                                   b"head.fc.bogs"))
+        with pytest.raises(ModelIOError, match="unexpected entry 'head.fc.bogs'"):
+            load_model(path)
+
+    def test_missing_entry_rejected(self, tmp_path):
+        path = self._saved_with(tmp_path, lambda m: m._params.pop("head.fc.bias"))
+        with pytest.raises(ModelIOError, match="missing entries.*head.fc.bias"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["head.fc.bias", "stem.bn.running_mean"])
+    def test_wrong_shape_rejected(self, tmp_path, name):
+        def edit(m):
+            if name in m._params:
+                m._params[name].data = np.zeros(5)
+            else:
+                m.stem_bn.running_mean = np.zeros(5)
+
+        path = self._saved_with(tmp_path, edit)
+        with pytest.raises(ModelIOError,
+                           match=rf"'{name}' has shape \(5,\), model expects"):
+            load_model(path)
+
+    def test_shape_product_past_int64_reported_as_truncated(self, tmp_path):
+        # 65536**4 wraps to 0 in int64; the file holds no values for it.
+        path = self._saved_with(tmp_path, lambda m: None)
+        raw = path.read_bytes()
+        count_at = 10 + struct.unpack_from("<I", raw, 6)[0]
+        name = b"stem.conv.weight"
+        entry = (struct.pack("<H", len(name)) + name + struct.pack("<BB", 0, 4)
+                 + struct.pack("<4I", *(65536,) * 4))
+        path.write_bytes(raw[:count_at] + struct.pack("<I", 1) + entry)
+        with pytest.raises(ModelIOError, match="truncated"):
+            load_model(path)
+
+    def test_malformed_file_fails_before_building(self, tmp_path, monkeypatch):
+        import scdnn.model
+
+        path = self._saved_with(tmp_path, lambda m: None)
+        raw = path.read_bytes()
+        built = []
+        monkeypatch.setattr(scdnn.model, "build_model",
+                            lambda *a, **k: built.append(a) or build_model(*a, **k))
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        name_len = struct.unpack_from("<H", raw, 14 + cfg_len)[0]
+        code_at = 16 + cfg_len + name_len
+        bad_code = raw[:code_at] + b"\x07" + raw[code_at + 1 :]
+        for bad, what in ((raw[:-1], "truncated"), (raw + b"x", "trailing"),
+                          (bad_code, "unknown dtype code 7")):
+            path.write_bytes(bad)
+            with pytest.raises(ModelIOError, match=what):
+                load_model(path)
+        assert built == []
+        path.write_bytes(raw)
+        load_model(path)
+        assert len(built) == 1
 
     def test_loaded_model_rejects_mismatched_leads(self, tmp_path):
         m = build_model(tiny_config(), seed=9)

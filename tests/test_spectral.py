@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdnn.autodiff import Graph, Tensor, as_complex, grad_check, imag_part, real_part
 from scdnn.spectral import Spectrum, dft, dft_batch, dft_t, idft, idft_batch, idft_t
@@ -106,6 +108,43 @@ class TestInvariants:
             mirrored = np.conj(spec[(-np.arange(length)) % length])
             scale = np.abs(spec).max()
             assert np.max(np.abs(spec - mirrored)) / scale < 1e-9
+
+
+# Relative error bounds per precision, ten ulps times log2(300): pocketfft's
+# error grows with log2(L), and the worst of 6000 random cases measured
+# about one ulp.
+TOLERANCE = {np.float32: 1e-5, np.float64: 2e-14}
+COMPLEX = {np.float32: np.complex64, np.float64: np.complex128}
+
+
+@st.composite
+def signals(draw):
+    """(x, precision): a real or complex signal of length 1 to 300."""
+    length = draw(st.integers(1, 300))
+    precision = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=length).astype(precision)
+    if draw(st.booleans()):
+        x = (x + 1j * rng.normal(size=length)).astype(COMPLEX[precision])
+    return x, precision
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(case=signals())
+    def test_roundtrip(self, case):
+        x, precision = case
+        back = idft(dft(x))
+        assert back.dtype == COMPLEX[precision]
+        assert np.max(np.abs(back - x)) <= TOLERANCE[precision] * np.max(np.abs(x))
+
+    @settings(deadline=None)
+    @given(case=signals())
+    def test_parseval(self, case):
+        x, precision = case
+        lhs = np.sum(np.abs(x.astype(np.complex128)) ** 2)
+        rhs = np.sum(np.abs(dft(x).astype(np.complex128)) ** 2) / x.size
+        assert abs(lhs - rhs) <= TOLERANCE[precision] * lhs
 
 
 class TestBatch:
