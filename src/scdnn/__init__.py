@@ -6,7 +6,7 @@ from .autodiff import Graph, GradientMap, Tensor, grad_check
 from .data import EcgDataset, EcgRecord, read_ecgb, synth_generate, write_ecgb
 from .model import ModelConfig, ScdnnModel, build_model, load_model, save_model
 from .satse import SatseBlock, hard_mask, soft_mask
-from .spectral import Spectrum, dft, dft_batch, idft, idft_batch
+from .spectral import dft, idft
 from .training import Hyperparams, MetricsReport, evaluate, train
 
 __version__ = "0.1.0"
@@ -18,9 +18,6 @@ __all__ = [
     "grad_check",
     "dft",
     "idft",
-    "dft_batch",
-    "idft_batch",
-    "Spectrum",
     "soft_mask",
     "hard_mask",
     "SatseBlock",

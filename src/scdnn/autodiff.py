@@ -31,24 +31,9 @@ __all__ = [
     "stable_sigmoid",
     "grad_check",
     "no_grad",
-    "add",
-    "sub",
     "mul",
-    "div",
-    "neg",
-    "exp",
-    "log",
-    "sigmoid",
     "relu",
-    "matmul",
     "reduce_sum",
-    "reduce_mean",
-    "max_along",
-    "concat",
-    "reshape",
-    "as_complex",
-    "real_part",
-    "imag_part",
 ]
 
 _REAL_DTYPES = (np.float32, np.float64)
@@ -136,48 +121,15 @@ class Tensor:
     def item(self):
         return self.data.item()
 
-    def detach(self):
-        """Leaf copy sharing no graph history."""
-        return Tensor(self.data.copy())
-
     # -- operators -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     # -- backward ------------------------------------------------------
 
@@ -270,24 +222,6 @@ def _is_pynum(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def add(a, b):
-    if isinstance(a, Tensor) and _is_pynum(b):
-        return _node(a.data + b, (a,), lambda g: (g,))
-    if isinstance(b, Tensor) and _is_pynum(a):
-        return _node(b.data + a, (b,), lambda g: (g,))
-    a, b = _promote(a), _promote(b)
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a, b):
-    if isinstance(a, Tensor) and _is_pynum(b):
-        return _node(a.data - b, (a,), lambda g: (g,))
-    if isinstance(b, Tensor) and _is_pynum(a):
-        return _node(a - b.data, (b,), lambda g: (-g,))
-    a, b = _promote(a), _promote(b)
-    return _node(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b):
     """Elementwise product; complex factors follow the pairing convention."""
     if isinstance(a, Tensor) and _is_pynum(b):
@@ -304,49 +238,6 @@ def mul(a, b):
     return _node(a.data * b.data, (a, b), backward)
 
 
-def div(a, b):
-    if isinstance(a, Tensor) and _is_pynum(b):
-        return _node(a.data / b, (a,), lambda g: (g / b,))
-    if isinstance(b, Tensor) and _is_pynum(a):
-
-        def backward_const_num(g):
-            cb = np.conj(b.data)
-            return (-g * a / (cb * cb),)
-
-        return _node(a / b.data, (b,), backward_const_num)
-    a, b = _promote(a), _promote(b)
-
-    def backward(g):
-        cb = np.conj(b.data)
-        ga = g / cb if a.requires_grad else None
-        gb = -g * np.conj(a.data) / (cb * cb) if b.requires_grad else None
-        return ga, gb
-
-    return _node(a.data / b.data, (a, b), backward)
-
-
-def neg(a):
-    a = _promote(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
-
-
-def exp(a):
-    a = _promote(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
-def log(a):
-    a = _promote(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sigmoid(a):
-    a = _promote(a)
-    out = stable_sigmoid(a.data)
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 def relu(a):
     a = _promote(a)
     mask = a.data > 0
@@ -357,27 +248,7 @@ def relu(a):
     return _node(np.maximum(a.data, 0.0), (a,), backward)
 
 
-# -- linear algebra ------------------------------------------------------
-
-
-def matmul(a, b):
-    a, b = _promote(a), _promote(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
-        )
-
-    def backward(g):
-        return g @ np.conj(b.data).T, np.conj(a.data).T @ g
-
-    return _node(a.data @ b.data, (a, b), backward)
-
-
-# -- reductions and shape ops --------------------------------------------
+# -- reductions ------------------------------------------------------------
 
 
 def _axis_tuple(axis, ndim):
@@ -400,102 +271,6 @@ def reduce_sum(a, axis=None, keepdims=False):
         return (np.broadcast_to(gg, a.data.shape),)
 
     return _node(out, (a,), backward)
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    a = _promote(a)
-    axes = _axis_tuple(axis, a.data.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.data.shape[ax]
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-
-    def backward(g):
-        gg = np.asarray(g) / count
-        if not keepdims:
-            gg = np.expand_dims(gg, axes)
-        return (np.broadcast_to(gg, a.data.shape),)
-
-    return _node(out, (a,), backward)
-
-
-def max_along(a, axis):
-    """Maximum along one axis; ties route the gradient to the lowest index."""
-    a = _promote(a)
-    axis = axis % a.data.ndim
-    idx = a.data.argmax(axis=axis)
-    out = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis).squeeze(axis)
-
-    def backward(g):
-        gx = np.zeros_like(a.data)
-        np.put_along_axis(
-            gx, np.expand_dims(idx, axis), np.expand_dims(np.asarray(g), axis), axis
-        )
-        return (gx,)
-
-    return _node(out, (a,), backward)
-
-
-def concat(tensors, axis):
-    tensors = [_promote(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        sl = [slice(None)] * g.ndim
-        outs = []
-        for i in range(len(tensors)):
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(sl)])
-        return tuple(outs)
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), backward)
-
-
-def reshape(a, shape):
-    a = _promote(a)
-    orig = a.data.shape
-
-    def backward(g):
-        return (g.reshape(orig),)
-
-    return _node(a.data.reshape(shape), (a,), backward)
-
-
-# -- complex plumbing ------------------------------------------------------
-
-
-def as_complex(re, im):
-    """Pack two real tensors into one complex tensor."""
-    re, im = _promote(re), _promote(im)
-    if re.data.shape != im.data.shape:
-        raise ShapeError(
-            f"as_complex parts differ in shape: {re.data.shape} vs {im.data.shape}"
-        )
-
-    def backward(g):
-        return g.real, g.imag
-
-    return _node(re.data + 1j * im.data, (re, im), backward)
-
-
-def real_part(z):
-    z = _promote(z)
-
-    def backward(g):
-        return (np.asarray(g).astype(z.data.dtype),)
-
-    return _node(np.ascontiguousarray(z.data.real), (z,), backward)
-
-
-def imag_part(z):
-    z = _promote(z)
-
-    def backward(g):
-        return ((1j * np.asarray(g)).astype(z.data.dtype),)
-
-    return _node(np.ascontiguousarray(z.data.imag), (z,), backward)
 
 
 # -- graphs ----------------------------------------------------------------

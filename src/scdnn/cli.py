@@ -20,11 +20,11 @@ import numpy as np
 
 from .autodiff import Graph, grad_check
 from .data import pad_to_max, read_ecgb, stratified_split, synth_generate, write_ecgb
-from .layers import cross_entropy, softmax
 from .model import ModelConfig, build_model, load_model, save_model, tiny_config
 from .training import (
     ABLATION_AXES,
     Hyperparams,
+    _loss_of,
     evaluate,
     run_ablation,
     train,
@@ -167,6 +167,17 @@ def _config_from_args(args, n_classes, input_length):
     return config
 
 
+def _read_dataset(path):
+    """Read an ECGB file, padding its records to the longest when lengths differ."""
+    dataset = read_ecgb(path)
+    lengths = {rec.length for rec in dataset.records}
+    if len(lengths) != 1:
+        dataset = pad_to_max(dataset)
+        print(f"padded {len(lengths)} distinct record lengths to "
+              f"{dataset.max_length}")
+    return dataset
+
+
 def _echo_hyper(hyper):
     print("effective hyperparameters:")
     for k, v in vars(hyper).items():
@@ -194,12 +205,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    dataset = read_ecgb(args.data)
-    lengths = {rec.length for rec in dataset.records}
-    if len(lengths) != 1:
-        dataset = pad_to_max(dataset)
-        print(f"padded {len(lengths)} distinct record lengths to "
-              f"{dataset.max_length}")
+    dataset = _read_dataset(args.data)
     hyper = _hyper_from_args(args)
     config = _config_from_args(args, len(dataset.class_names),
                                dataset.max_length)
@@ -255,7 +261,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = load_model(args.model)
-    dataset = read_ecgb(args.data)
+    dataset = _read_dataset(args.data)
     report = evaluate(model, dataset, args.split)
     text = report.to_text(dataset.class_names)
     print(text)
@@ -302,10 +308,7 @@ def build_gradcheck_graph(model, batch, labels):
     """
 
     def build(params, inputs):
-        logits = model.forward(inputs["x"], "train", update_running=False)
-        if model.config.double_softmax:
-            logits = softmax(logits)
-        return cross_entropy(logits, labels)
+        return _loss_of(model, inputs["x"], labels, "train", False)
 
     return Graph(build, model.trainable_parameters())
 
@@ -356,9 +359,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    dataset = read_ecgb(args.data)
-    if len({rec.length for rec in dataset.records}) != 1:
-        dataset = pad_to_max(dataset)
+    dataset = _read_dataset(args.data)
     hyper = _hyper_from_args(args)
     config = _config_from_args(args, len(dataset.class_names),
                                dataset.max_length)

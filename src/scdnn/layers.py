@@ -1,14 +1,16 @@
-"""Differentiable 1-D building blocks: convolution, batch norm, pooling,
-the linear classifier head, and the cross-entropy loss.
+"""Differentiable 1-D building blocks: convolution, batch norm, max pooling,
+the pooled head features, the linear classifier head, and the cross-entropy
+loss.
 
-Layers own their parameter tensors; forward methods trace autodiff nodes.
-Convolution is cross-correlation (no kernel flip) and runs as one copy into a
-length-minor (C_in*k, B*L_out) im2col matrix plus one GEMM per call.
+Layers own their parameter tensors; forward methods trace autodiff nodes,
+each one node with a closed-form backward. Convolution is cross-correlation
+(no kernel flip) and runs as one copy into a length-minor (C_in*k, B*L_out)
+im2col matrix plus one GEMM per call.
 """
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _node, concat, reduce_mean, relu
+from .autodiff import ShapeError, Tensor, _node, relu
 
 __all__ = [
     "Conv1d",
@@ -18,9 +20,6 @@ __all__ = [
     "linear",
     "relu",
     "max_pool1d",
-    "adaptive_avg_pool",
-    "adaptive_max_pool",
-    "adaptive_pool",
     "pooled_features",
     "cross_entropy",
     "softmax",
@@ -292,37 +291,27 @@ def max_pool1d(x, kernel, stride, padding=0):
     return _node(out, (x,), backward)
 
 
-def adaptive_avg_pool(x):
-    """Mean over the length axis, (B, C, L) -> (B, C)."""
-    return reduce_mean(x, axis=2)
+def pooled_features(x):
+    """Average- and max-pooled channel features, (B, C, L) -> (B, 2C), as one
+    node; ties in the maximum take the lowest index.
 
-
-def adaptive_max_pool(x):
-    """Max over the length axis, (B, C, L) -> (B, C); ties take the lowest index."""
-    idx = x.data.argmax(axis=2)
-    out = np.take_along_axis(x.data, idx[..., None], axis=2)[..., 0]
+    The backward adds the mean's share g[:, :C] / L at every position to the
+    max's g[:, C:] at each channel's argmax.
+    """
+    _, c, length = x.data.shape
+    idx = x.data.argmax(axis=2)[..., None]
+    out = np.concatenate(
+        [x.data.mean(axis=2), np.take_along_axis(x.data, idx, axis=2)[..., 0]],
+        axis=1,
+    )
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[..., None], np.asarray(g)[..., None], axis=2)
+        np.put_along_axis(gx, idx, g[:, c:, None], axis=2)
+        gx += g[:, :c, None] / length
         return (gx,)
 
     return _node(out, (x,), backward)
-
-
-def adaptive_pool(x, kind, out_len=1):
-    if out_len != 1:
-        raise ValueError("only adaptive pooling to a single position is supported")
-    if kind == "avg":
-        return adaptive_avg_pool(x)
-    if kind == "max":
-        return adaptive_max_pool(x)
-    raise ValueError(f"unknown pooling kind {kind!r}")
-
-
-def pooled_features(x):
-    """Concatenate average- and max-pooled channel features, (B, 2C)."""
-    return concat([adaptive_avg_pool(x), adaptive_max_pool(x)], axis=1)
 
 
 def _log_softmax(z):

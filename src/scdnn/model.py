@@ -11,7 +11,8 @@ Architecture, front to back:
             (every batchnorm+relu, and the batchnorm+shortcut+relu that
             ends a block, is one fused autodiff node: see BatchNorm1d)
     per stage: optional SATSE block on the stage output
-    head:   concat(avg-pool, max-pool) -> linear -> logits
+    head:   [avg-pool, max-pool] over length, one autodiff node
+            (see pooled_features) -> linear -> logits
 
 Binary model files: magic "SCDN", version u16 LE, u32-length-prefixed
 UTF-8 config (key=value lines), u32 entry count, then per entry a
@@ -128,6 +129,9 @@ class ModelConfig:
             raise ValueError("satse_blocks_enabled must list 4 booleans")
         if self.stage_widths is not None and len(self.stage_widths) != self.n_stages:
             raise ValueError("stage_widths must supply one width per stage")
+        if self.stage_widths is not None and min(self.stage_widths) < 1:
+            raise ValueError(f"stage widths must be at least 1, got "
+                             f"{self.stage_widths}")
         if self.input_length is not None and self.input_length < 8:
             raise ValueError("input_length must be at least 8")
 

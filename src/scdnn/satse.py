@@ -125,6 +125,9 @@ class SatseBlock:
             raise ValueError(f"unknown mask index mode {mask_index_mode!r}")
         if not 0.0 < phi_init < 1.0:
             raise ValueError(f"phi_init must lie in (0, 1), got {phi_init}")
+        if not gamma_init >= GAMMA_MIN:
+            raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
+                             f"{gamma_init}")
         self.channels = channels
         self.length = length
         self.mask_index_mode = mask_index_mode

@@ -61,8 +61,11 @@ class Hyperparams:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size) < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be at least 2: train-mode "
+                             "batch normalization needs two records")
         if min(self.lr, self.lr_drop_factor, self.adam_eps) <= 0:
             raise ValueError("lr, lr_drop_factor and adam_eps must be positive")
         if self.weight_decay < 0:
@@ -152,11 +155,12 @@ def _batch_labels(records):
     return np.array([rec.label for rec in records], dtype=np.int64)
 
 
-def _loss_of(model, xb, yb, mode):
-    logits = model.forward(Tensor(xb), mode)
+def _loss_of(model, x, labels, mode, update_running=None):
+    """Cross-entropy of the model's logits for the input Tensor `x`."""
+    logits = model.forward(x, mode, update_running)
     if model.config.double_softmax:
         logits = softmax(logits)
-    return cross_entropy(logits, yb)
+    return cross_entropy(logits, labels)
 
 
 def train(model, dataset, hyper, trace_callback=None):
@@ -169,8 +173,9 @@ def train(model, dataset, hyper, trace_callback=None):
     normalization cannot process.
     """
     records = dataset.records_in("train")
-    if not records:
-        raise ValueError("dataset has no train split")
+    if len(records) < 2:
+        raise ValueError(f"train split has {len(records)} records; train-mode "
+                         f"batch normalization needs at least 2")
     if len(dataset.class_names) != model.config.n_classes:
         raise ValueError(
             f"dataset has {len(dataset.class_names)} classes, model expects "
@@ -194,7 +199,7 @@ def train(model, dataset, hyper, trace_callback=None):
                 continue
             xb = _batch_array(chosen, dtype)
             yb = _batch_labels(chosen)
-            loss = _loss_of(model, xb, yb, "train")
+            loss = _loss_of(model, Tensor(xb), yb, "train")
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingAbort(

@@ -1,0 +1,178 @@
+"""Generic differentiable ops that only the tests use.
+
+The model runs on fused nodes with closed-form backward rules (conv1d,
+BatchNorm1d, SatseBlock, pooled_features). The tests still use these
+elementwise, shape and complex ops, and the differentiable transforms
+``dft_t``/``idft_t``, as independent oracles for those nodes and as
+vehicles for the autodiff engine tests. Each op records an ordinary
+``scdnn.autodiff`` node.
+"""
+
+import numpy as np
+
+from scdnn.autodiff import (
+    ShapeError,
+    Tensor,
+    _axis_tuple,
+    _is_pynum,
+    _node,
+    _promote,
+    stable_sigmoid,
+)
+from scdnn.spectral import _transform
+
+
+def add(a, b):
+    if isinstance(a, Tensor) and _is_pynum(b):
+        return _node(a.data + b, (a,), lambda g: (g,))
+    if isinstance(b, Tensor) and _is_pynum(a):
+        return _node(b.data + a, (b,), lambda g: (g,))
+    a, b = _promote(a), _promote(b)
+    return _node(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def sub(a, b):
+    if isinstance(a, Tensor) and _is_pynum(b):
+        return _node(a.data - b, (a,), lambda g: (g,))
+    if isinstance(b, Tensor) and _is_pynum(a):
+        return _node(a - b.data, (b,), lambda g: (-g,))
+    a, b = _promote(a), _promote(b)
+    return _node(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def exp(a):
+    a = _promote(a)
+    out = np.exp(a.data)
+    return _node(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    a = _promote(a)
+    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def sigmoid(a):
+    a = _promote(a)
+    out = stable_sigmoid(a.data)
+    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def matmul(a, b):
+    a, b = _promote(a), _promote(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(
+            f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}"
+        )
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(
+            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
+        )
+
+    def backward(g):
+        return g @ np.conj(b.data).T, np.conj(a.data).T @ g
+
+    return _node(a.data @ b.data, (a, b), backward)
+
+
+def reduce_mean(a, axis=None, keepdims=False):
+    a = _promote(a)
+    axes = _axis_tuple(axis, a.data.ndim)
+    count = 1
+    for ax in axes:
+        count *= a.data.shape[ax]
+    out = a.data.mean(axis=axes, keepdims=keepdims)
+
+    def backward(g):
+        gg = np.asarray(g) / count
+        if not keepdims:
+            gg = np.expand_dims(gg, axes)
+        return (np.broadcast_to(gg, a.data.shape),)
+
+    return _node(out, (a,), backward)
+
+
+def concat(tensors, axis):
+    tensors = [_promote(t) for t in tensors]
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        sl = [slice(None)] * g.ndim
+        outs = []
+        for i in range(len(tensors)):
+            sl[axis] = slice(offsets[i], offsets[i + 1])
+            outs.append(g[tuple(sl)])
+        return tuple(outs)
+
+    return _node(np.concatenate([t.data for t in tensors], axis=axis),
+                 tuple(tensors), backward)
+
+
+def reshape(a, shape):
+    a = _promote(a)
+    orig = a.data.shape
+
+    def backward(g):
+        return (g.reshape(orig),)
+
+    return _node(a.data.reshape(shape), (a,), backward)
+
+
+def as_complex(re, im):
+    """Pack two real tensors into one complex tensor."""
+    re, im = _promote(re), _promote(im)
+    if re.data.shape != im.data.shape:
+        raise ShapeError(
+            f"as_complex parts differ in shape: {re.data.shape} vs {im.data.shape}"
+        )
+
+    def backward(g):
+        return g.real, g.imag
+
+    return _node(re.data + 1j * im.data, (re, im), backward)
+
+
+def real_part(z):
+    z = _promote(z)
+
+    def backward(g):
+        return (np.asarray(g).astype(z.data.dtype),)
+
+    return _node(np.ascontiguousarray(z.data.real), (z,), backward)
+
+
+def imag_part(z):
+    z = _promote(z)
+
+    def backward(g):
+        return ((1j * np.asarray(g)).astype(z.data.dtype),)
+
+    return _node(np.ascontiguousarray(z.data.imag), (z,), backward)
+
+
+# -- differentiable transforms -------------------------------------------------
+#
+# Both transforms are linear maps; the vector-Jacobian product of a linear
+# map with matrix M is multiplication by the conjugate transpose, which for
+# these symmetric transform matrices is again a transform of the other sign.
+
+
+def dft_t(x, axis=-1):
+    """Differentiable forward transform of a Tensor along `axis`."""
+    out = _transform(x.data, -1, axis)
+
+    def backward(g):
+        return (_transform(g, +1, axis),)
+
+    return _node(out, (x,), backward)
+
+
+def idft_t(x, axis=-1):
+    """Differentiable inverse transform (1/L normalized) of a Tensor."""
+    length = x.data.shape[axis]
+    out = _transform(x.data, +1, axis) / length
+
+    def backward(g):
+        return (_transform(g, -1, axis) / length,)
+
+    return _node(out, (x,), backward)

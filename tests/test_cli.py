@@ -261,3 +261,11 @@ class TestErrors:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_batch_of_one_rejected(self, micro_dataset, tmp_path, capsys):
+        rc = main(["train", "--data", micro_dataset, "--out-dir",
+                   str(tmp_path / "o"), "--epochs", "2", "--batch", "1",
+                   "--stage-widths", "4,8"])
+        assert rc == 1
+        assert "batch_size must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.scdn").exists()

@@ -3,27 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdnn.autodiff import (
-    Graph,
-    ShapeError,
-    Tensor,
-    add,
-    exp,
-    grad_check,
-    log,
-    mul,
-    reduce_mean,
-    relu,
-    reshape,
-    sub,
-)
+from reference_ops import add, exp, log, reduce_mean, reshape, sub
+from scdnn.autodiff import Graph, ShapeError, Tensor, grad_check, mul, relu
 from scdnn.layers import (
     BatchNorm1d,
     Conv1d,
     Linear,
-    adaptive_avg_pool,
-    adaptive_max_pool,
-    adaptive_pool,
     conv1d,
     cross_entropy,
     linear,
@@ -102,8 +87,8 @@ class TestConv1d:
         tgt = rng.normal(size=(2, 4, 5))
 
         def build(p, i):
-            d = layer.forward(i["x"]) - Tensor(tgt)
-            return (d * d).mean()
+            d = sub(layer.forward(i["x"]), Tensor(tgt))
+            return reduce_mean(d * d)
 
         rep = grad_check(Graph(build, {"w": layer.weight, "b": layer.bias}),
                          {"x": x})
@@ -605,8 +590,27 @@ class TestReluAndPools:
 
     def test_avg_and_max(self):
         x = Tensor(np.array([[[1.0, 2.0, 3.0], [1.0, 3.0, 2.0]]]))
-        np.testing.assert_allclose(adaptive_pool(x, "avg").data, [[2.0, 2.0]])
-        np.testing.assert_allclose(adaptive_pool(x, "max").data, [[3.0, 3.0]])
+        np.testing.assert_allclose(pooled_features(x).data,
+                                   [[2.0, 2.0, 3.0, 3.0]])
+
+    def test_pooled_features_ties_and_gradient(self):
+        # Values drawn from {0, 1, 2} plant ties in the maximum of almost
+        # every channel; the max share of the gradient goes to the first.
+        rng = np.random.default_rng(15)
+        x = rng.integers(0, 3, size=(2, 3, 7)).astype(np.float64)
+        g = rng.normal(size=(2, 6))
+        xt = Tensor(x, requires_grad=True)
+        out = pooled_features(xt)
+        (out * Tensor(g)).sum().backward()
+        expect = np.zeros_like(x)
+        for n in range(2):
+            for c in range(3):
+                row = list(x[n, c])
+                np.testing.assert_array_equal(
+                    out.data[n, [c, 3 + c]], [np.mean(x[n, c]), max(row)])
+                expect[n, c] = g[n, c] / 7
+                expect[n, c, row.index(max(row))] += g[n, 3 + c]
+        np.testing.assert_array_equal(xt.grad, expect)
 
     def test_concat_width_doubles_channels(self):
         x = Tensor(np.random.default_rng(10).normal(size=(3, 512, 4)))

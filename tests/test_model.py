@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_ops import add
 from scdnn.autodiff import ShapeError, Tensor
 from scdnn.layers import cross_entropy, relu
 from scdnn.model import (
@@ -45,6 +46,11 @@ class TestConfig:
             ModelConfig(n_classes=2, backbone="resnet99")
         with pytest.raises(ValueError):
             ModelConfig(n_classes=2, fixed_phi=1.5)
+
+    @pytest.mark.parametrize("widths", [(0, 8), (4, 0), (-2, 8)])
+    def test_stage_width_below_one_rejected(self, widths):
+        with pytest.raises(ValueError, match="stage widths must be at least 1"):
+            tiny_config(widths=widths)
 
     def test_satse_count_helper(self):
         cfg = ModelConfig(n_classes=2).with_satse_count(2)
@@ -196,7 +202,7 @@ class TestResidualBlock:
         for name in [n for n in convs if n.startswith("conv")][1:]:
             h = pair(name, relu(h))
         shortcut = pair("proj", x) if "proj" in convs else x
-        expect = relu(h + shortcut).data
+        expect = relu(add(h, shortcut)).data
         got = block.forward(x, "train", False).data
         np.testing.assert_array_equal(got, expect)
 
@@ -246,10 +252,10 @@ class TestForward:
             m.forward(x, "eval")
 
     def test_training_graph_node_count(self):
-        # 86 parameter leaves, the input and 50 interior nodes: 20 convs,
+        # 86 parameter leaves, the input and 48 interior nodes: 20 convs,
         # 20 batchnorms (each with its relu and, ending a block, the shortcut
-        # add fused in), the stem max-pool, 4 SATSE blocks, the two pools,
-        # their concat, the head and the loss.
+        # add fused in), the stem max-pool, 4 SATSE blocks, the pooled head
+        # features (average and max in one node), the head and the loss.
         m = build_model(ModelConfig(n_classes=4, input_length=128,
                                     stage_widths=(4, 8, 12, 16)), seed=3)
         x = np.random.default_rng(0).normal(size=(4, 12, 128))
@@ -261,7 +267,7 @@ class TestForward:
                 seen.add(id(node))
                 stack.extend(node._parents)
         assert len(m.named_parameters()) == 86
-        assert len(seen) == 137
+        assert len(seen) == 135
 
     def test_train_mode_updates_running_stats_eval_does_not(self):
         m = build_model(tiny_config(), seed=2)

@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdnn.autodiff import (
-    Graph,
-    ShapeError,
-    Tensor,
+from reference_ops import (
     add,
     as_complex,
-    grad_check,
-    mul,
+    dft_t,
+    idft_t,
     real_part,
+    reduce_mean,
     reshape,
     sigmoid,
     sub,
 )
+from scdnn.autodiff import Graph, ShapeError, Tensor, grad_check, mul
 from scdnn.layers import cross_entropy, linear
 from scdnn.satse import (
     GAMMA_MIN,
@@ -25,7 +24,6 @@ from scdnn.satse import (
     hard_mask,
     soft_mask,
 )
-from scdnn.spectral import dft_t, idft_t
 
 
 def brute_force_pipeline(x, phi, gamma, weight, lam_low, lam_high, mode):
@@ -321,7 +319,7 @@ class TestSatseGradients:
 
         def build(p, i):
             h = block.forward(i["x"]) * mix
-            feats = h.mean(axis=2)
+            feats = reduce_mean(h, axis=2)
             return cross_entropy(linear(feats, p["head_w"], p["head_b"]), labels)
 
         params = dict(block.parameters())
@@ -362,6 +360,13 @@ class TestParamReport:
         rep = block.report()
         assert rep["phi"] == PHI_MAX == 0.999
         assert rep["gamma"] == GAMMA_MIN == 1e-3
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, GAMMA_MIN / 2, float("nan")])
+    def test_gamma_init_below_clamp_bound_rejected(self, gamma):
+        # a negative slope swaps the low and high masks; zero makes both 0.5
+        with pytest.raises(ValueError, match="gamma_init"):
+            SatseBlock(2, 8, gamma_init=gamma)
+        assert SatseBlock(2, 8, gamma_init=GAMMA_MIN).report()["gamma"] == GAMMA_MIN
 
     def test_fixed_phi_not_clamped_or_trained(self):
         block = SatseBlock(2, 8, phi_init=0.2, train_phi=False)

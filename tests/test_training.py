@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference_ops import reduce_mean, sub
 from scdnn.autodiff import Tensor
 from scdnn.data import stratified_split, synth_generate
 from scdnn.model import build_model, tiny_config
@@ -43,6 +44,14 @@ class TestHyperparams:
             Hyperparams(lr=-1.0)
         with pytest.raises(ValueError):
             Hyperparams(lr_drop_epoch=60, epochs=50)
+
+    @pytest.mark.parametrize("batch_size", [-1, 0, 1])
+    def test_batch_below_two_rejected(self, batch_size):
+        # train-mode batch norm needs two records, so a batch of one would
+        # be dropped and the epoch would train nothing
+        with pytest.raises(ValueError, match="batch_size must be at least 2"):
+            Hyperparams(epochs=2, batch_size=batch_size, lr_drop_epoch=2)
+        Hyperparams(epochs=2, batch_size=2, lr_drop_epoch=2)
 
     def test_lr_schedule(self):
         h = Hyperparams()
@@ -111,8 +120,8 @@ class TestAdam:
         losses = []
         for _ in range(50):
             pred = layer.forward(Tensor(x))
-            diff = pred - Tensor(y)
-            loss = (diff * diff).mean()
+            diff = sub(pred, Tensor(y))
+            loss = reduce_mean(diff * diff)
             losses.append(float(loss.data))
             for p in params.values():
                 p.grad = None
@@ -167,6 +176,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="train"):
             train(build_model(tiny_config(), seed=0), ds, Hyperparams(epochs=1,
                   lr_drop_epoch=1))
+
+    def test_single_record_train_split_fails(self):
+        ds = toy_dataset()
+        ds.splits = {rid: "val" for rid in ds.splits}
+        ds.splits[ds.records[0].record_id] = "train"
+        model = build_model(tiny_config(), seed=0)
+        before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+        with pytest.raises(ValueError, match="1 records"):
+            train(model, ds, Hyperparams(epochs=2, batch_size=2, lr_drop_epoch=2))
+        for k, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.data, before[k])
 
     def test_class_count_mismatch_fails(self):
         ds = toy_dataset()

@@ -152,6 +152,21 @@ class TestMixedLengths:
         model = load_model(out_dir / "model.scdn")
         assert model.config.input_length == 64
 
+    def test_cli_eval_pads_like_train(self, tmp_path, capsys):
+        # the val split holds records of both lengths
+        path = tmp_path / "mixed.ecgb"
+        write_ecgb(self._mixed_dataset(), path)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(path), "--out-dir", str(run),
+                     "--epochs", "1", "--batch", "8", "--stage-widths", "2,4",
+                     "--seed", "6"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(run / "model.scdn"),
+                     "--data", str(path), "--split", "val"]) == 0
+        out = capsys.readouterr().out
+        assert "padded 2 distinct record lengths to 64" in out
+        assert "macro f1" in out
+
     def test_pad_then_train_directly(self):
         ds = pad_to_max(self._mixed_dataset())
         model = build_model(tiny_config(n_classes=2), seed=6)
