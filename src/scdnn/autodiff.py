@@ -118,9 +118,6 @@ class Tensor:
         nm = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req}{nm})"
 
-    def item(self):
-        return self.data.item()
-
     # -- operators -----------------------------------------------------
 
     def __mul__(self, other):
