@@ -4,6 +4,9 @@ Tensors wrap float64/float32 or complex128/complex64 numpy arrays. Every
 operation records its parent tensors together with a closure that computes
 vector-Jacobian products, and ``Tensor.backward`` walks the recorded graph
 once in reverse topological order, accumulating gradients on the leaves.
+The walk consumes the graph: each node frees its closure and its gradient
+as soon as its vector-Jacobian product has run, so a graph serves one
+backward pass, and a fresh forward is needed for the next one.
 
 Complex values use the pairing convention: the gradient stored for a
 complex tensor is ``dL/dRe + 1j*dL/dIm``. For a real-valued loss this is
@@ -131,7 +134,15 @@ class Tensor:
     # -- backward ------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this (real scalar) node onto all leaves."""
+        """Accumulate gradients of this (real scalar) node onto all leaves.
+
+        The pass consumes the graph. As soon as an interior node's VJP has
+        run, the node drops its closure, and with it the arrays saved for
+        the VJP, and its gradient, except on this root. Leaf gradients are
+        kept. A second backward that reaches a consumed node raises
+        ``RuntimeError`` before any gradient changes; run the forward again
+        for a fresh graph.
+        """
         if self.data.size != 1:
             raise ValueError(
                 f"backward requires a scalar loss node, got shape {self.data.shape}"
@@ -139,11 +150,22 @@ class Tensor:
         if self.data.dtype.kind == "c":
             raise TypeError("backward requires a real scalar loss")
         topo = _toposort(self)
+        if any(node._parents and node._backward is None for node in topo):
+            raise RuntimeError(
+                "the graph was already used by a backward pass, which frees "
+                "it; run the forward pass again to build a new graph"
+            )
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            if not node._parents:
                 continue
-            grads = node._backward(node.grad)
+            backward_fn, upstream = node._backward, node.grad
+            node._backward = None
+            if node is not self:
+                node.grad = None
+            if upstream is None:
+                continue
+            grads = backward_fn(upstream)
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
@@ -340,7 +362,11 @@ class Graph:
             p.grad = None
 
     def backward(self):
-        """Differentiate the retained scalar output into a GradientMap."""
+        """Differentiate the retained scalar output into a GradientMap.
+
+        This consumes the graph traced by the last `forward`; call `forward`
+        again before the next `backward`.
+        """
         if self.output is None:
             raise RuntimeError("graph backward requires a prior forward pass")
         self.zero_grad()

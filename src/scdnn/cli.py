@@ -300,11 +300,13 @@ def _randomize_for_gradcheck(model, seed):
                 p.data += rng.normal(0, 0.1, p.data.shape)
 
 
-def build_gradcheck_graph(model, batch, labels):
+def build_gradcheck_graph(model, labels):
     """Loss graph over every trainable parameter of the model.
 
-    Runs train-mode statistics with running-average updates disabled so
-    repeated evaluations stay pure.
+    The batch is the graph input ``"x"``, bound by ``grad_check`` or
+    ``Graph.forward``; the `labels` are fixed here. Runs train-mode
+    statistics with running-average updates disabled so repeated
+    evaluations stay pure.
     """
 
     def build(params, inputs):
@@ -334,7 +336,7 @@ def cmd_gradcheck(args):
     rng = np.random.default_rng([args.seed, 3])
     batch = rng.normal(size=(args.batch, config.n_leads, args.length))
     labels = rng.integers(0, config.n_classes, size=args.batch)
-    graph = build_gradcheck_graph(model, batch, labels)
+    graph = build_gradcheck_graph(model, labels)
     if args.param:
         graph.parameters = {
             k: v for k, v in graph.parameters.items() if args.param in k

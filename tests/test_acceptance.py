@@ -162,7 +162,7 @@ def test_c04_full_model_differentiability():
     rng = np.random.default_rng(1004)
     batch = rng.normal(size=(2, 12, 64))
     labels = rng.integers(0, 3, size=2)
-    graph = build_gradcheck_graph(model, batch, labels)
+    graph = build_gradcheck_graph(model, labels)
 
     names = set(graph.parameters)
     for needed in ("satse1.phi", "satse1.gamma", "satse1.lambda_low",

@@ -1,4 +1,6 @@
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from scdnn.autodiff import (
     stable_sigmoid,
 )
 from scdnn.layers import cross_entropy
+from scdnn.model import build_model, tiny_config
+from scdnn.training import _loss_of
 
 
 def scalar_graph(fn):
@@ -318,3 +322,93 @@ class TestNoGrad:
             holder.join(timeout=10.0)
         assert not holder.is_alive()
         assert seen == {"inside": False, "still_inside": False}
+
+
+def _interior_nodes(root):
+    """Every recorded node reachable from `root`, the root included."""
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if node._parents:
+            found.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return found
+
+
+def _training_loss():
+    model = build_model(tiny_config(), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(4, 12, 64))
+    labels = rng.integers(0, 3, size=4)
+    return model, _loss_of(model, Tensor(x), labels, "train", False)
+
+
+class TestRelease:
+    def test_backward_frees_closures_and_interior_gradients(self):
+        model, loss = _training_loss()
+        nodes = _interior_nodes(loss)
+        assert len(nodes) > 10
+        refs = [weakref.ref(node._backward) for node in nodes]
+        loss.backward()
+        assert all(ref() is None for ref in refs)
+        assert all(node._backward is None for node in nodes)
+        assert all(node.grad is None for node in nodes if node is not loss)
+        assert loss.grad == 1.0
+        for name, p in model.trainable_parameters().items():
+            assert p.grad is not None, name
+            assert p.grad.shape == p.data.shape, name
+
+    def test_second_backward_raises_and_keeps_leaf_gradients(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = (relu(x * 3) * 2).sum()
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+        with pytest.raises(RuntimeError, match="already used by a backward"):
+            y.backward()
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+        model, loss = _training_loss()
+        loss.backward()
+        params = model.trainable_parameters()
+        before = {k: p.grad.copy() for k, p in params.items()}
+        with pytest.raises(RuntimeError, match="run the forward pass again"):
+            loss.backward()
+        for k, p in params.items():
+            assert p.grad.tobytes() == before[k].tobytes(), k
+        assert loss.grad == 1.0
+
+    def test_new_loss_on_released_node_raises_and_keeps_leaf_gradients(self):
+        model, loss = _training_loss()
+        logits = loss._parents[0]
+        assert logits._parents
+        loss.backward()
+        params = model.trainable_parameters()
+        before = {k: p.grad.copy() for k, p in params.items()}
+        extra = (logits * 2.0).sum()
+        with pytest.raises(RuntimeError, match="already used by a backward"):
+            extra.backward()
+        for k, p in params.items():
+            assert p.grad.tobytes() == before[k].tobytes(), k
+        assert extra.grad is None and extra._backward is not None
+
+    def test_backward_lowers_held_memory(self):
+        # The tape (saved conv windows, batchnorm inputs, spectra) outweighs
+        # the parameter gradients left behind, so once backward has freed
+        # it, fewer traced bytes are held than right after the forward.
+        model = build_model(tiny_config(input_length=256, widths=(8, 16, 24, 32)),
+                            seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 12, 256))
+        labels = rng.integers(0, 3, size=8)
+        tracemalloc.start()
+        try:
+            loss = _loss_of(model, Tensor(x), labels, "train", False)
+            before = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after < before

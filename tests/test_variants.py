@@ -42,7 +42,7 @@ class TestDoubleSoftmax:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 12, 32))
         labels = rng.integers(0, 3, size=2)
-        graph = build_gradcheck_graph(model, x, labels)
+        graph = build_gradcheck_graph(model, labels)
         assert grad_check(graph, {"x": x}).passed
 
     def test_argmax_unchanged_so_metrics_agree(self):
@@ -74,7 +74,7 @@ class TestReal32:
                                         input_length=32), seed=4)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 12, 32))
-        graph = build_gradcheck_graph(model, x, rng.integers(0, 3, size=2))
+        graph = build_gradcheck_graph(model, rng.integers(0, 3, size=2))
         with pytest.raises(TypeError, match="float64"):
             grad_check(graph, {"x": x})
 
