@@ -5,7 +5,8 @@ loss.
 Layers own their parameter tensors; forward methods trace autodiff nodes,
 each one node with a closed-form backward. Convolution is cross-correlation
 (no kernel flip) and runs as one copy into a length-minor (C_in*k, B*L_out)
-im2col matrix plus one GEMM per call.
+im2col matrix plus one GEMM per call. Convolution and max pooling pad by
+index ranges, so no padded copy of the input is built or kept.
 """
 
 import numpy as np
@@ -33,22 +34,28 @@ def fan_in_uniform(rng, shape, fan_in, dtype=np.float64):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _check_window(op, kernel, stride, padding):
+def _window_taps(op, length, kernel, stride, padding):
+    """Output length of a padded window op, and for each tap t the output
+    columns [j0, j1) whose index j*stride + t - padding lands inside the
+    input, with the slice of input positions they read."""
     if kernel < 1 or stride < 1 or padding < 0:
         raise ShapeError(
             f"{op}: kernel {kernel} and stride {stride} must be >= 1 and "
             f"padding {padding} >= 0"
         )
-
-
-def _windows(x, kernel, stride):
-    """Strided view (B, C, L_out, k) over the padded length axis."""
-    b, c, length = x.shape
-    l_out = (length - kernel) // stride + 1
-    s0, s1, s2 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (b, c, l_out, kernel), (s0, s1, s2 * stride, s2), writeable=False
-    )
+    l_out = (length + 2 * padding - kernel) // stride + 1
+    if l_out < 1:
+        raise ShapeError(
+            f"{op}: output length {l_out} < 1 for input length {length}, "
+            f"kernel {kernel}, stride {stride}, padding {padding}"
+        )
+    taps = []
+    for t in range(kernel):
+        j0 = min(l_out, max(0, -((t - padding) // stride)))
+        j1 = max(j0, min(l_out, -((t - padding - length) // stride)))
+        i0 = j0 * stride + t - padding
+        taps.append((j0, j1, slice(i0, i0 + (j1 - j0) * stride, stride)))
+    return l_out, taps
 
 
 def conv1d(x, weight, bias=None, stride=1, padding=0):
@@ -57,30 +64,26 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
     `bias` is optional: convolutions feeding a BatchNorm layer omit it,
     since the normalization cancels any channel offset exactly.
 
-    One copy gathers the windows into `cols`, (C_in*k, B*L_out), whose row
-    (c, t) holds x_pad[b, c, j*stride + t] at column (b, j), so each copied
-    run is L_out values long. Then out = W @ cols, and the backward scatters
-    W.T @ g back onto the padded input one tap at a time (col2im).
+    One copy per tap gathers the windows into `cols`, (C_in*k, B*L_out),
+    whose row (c, t) holds x[b, c, j*stride + t - padding] at column (b, j),
+    or 0 where that index falls in the padding. Then out = W @ cols, and the
+    backward scatters W.T @ g onto a zero gradient of x's shape one tap at a
+    time (col2im). The node keeps only `cols` and the weight.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv1d expects a (B, C, L) input, got {x.data.shape}")
     b, c_in, length = x.data.shape
     c_out, c_in_w, kernel = weight.data.shape
-    _check_window("conv1d", kernel, stride, padding)
     if c_in != c_in_w:
         raise ShapeError(
             f"conv1d: input has {c_in} channels but kernel expects {c_in_w}"
         )
-    l_out = (length + 2 * padding - kernel) // stride + 1
-    if l_out < 1:
-        raise ShapeError(
-            f"conv1d: output length {l_out} < 1 for input length {length}, "
-            f"kernel {kernel}, stride {stride}, padding {padding}"
-        )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    cols = np.ascontiguousarray(
-        _windows(xp, kernel, stride).transpose(1, 3, 0, 2)
-    ).reshape(c_in * kernel, b * l_out)
+    l_out, taps = _window_taps("conv1d", length, kernel, stride, padding)
+    cols4 = np.empty((c_in, kernel, b, l_out), x.data.dtype)
+    for t, (j0, j1, src) in enumerate(taps):
+        cols4[:, t, :, :j0] = cols4[:, t, :, j1:] = 0
+        cols4[:, t, :, j0:j1] = x.data[:, :, src].transpose(1, 0, 2)
+    cols = cols4.reshape(c_in * kernel, b * l_out)
     wflat = weight.data.reshape(c_out, c_in * kernel)
     out = np.ascontiguousarray(
         (wflat @ cols).reshape(c_out, b, l_out).transpose(1, 0, 2)
@@ -94,11 +97,9 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
         gx = None
         if x.requires_grad:
             gcols = (wflat.T @ g2).reshape(c_in, kernel, b, l_out)
-            gxp = np.zeros_like(xp)
-            for t in range(kernel):
-                tap = gcols[:, t].transpose(1, 0, 2)
-                gxp[:, :, t : t + stride * l_out : stride] += tap
-            gx = gxp[:, :, padding : padding + length] if padding else gxp
+            gx = np.zeros(x.data.shape, x.data.dtype)
+            for t, (j0, j1, src) in enumerate(taps):
+                gx[:, :, src] += gcols[:, t, :, j0:j1].transpose(1, 0, 2)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2))
@@ -259,33 +260,27 @@ class Linear:
 
 
 def max_pool1d(x, kernel, stride, padding=0):
-    """Windowed maximum along the length axis (a running maximum over the k
-    strided taps); pads with -inf, and ties and the gradient go to the lowest index.
+    """Windowed maximum along the length axis: a running maximum from -inf over
+    each strided tap's in-range columns, so padding counts as -inf. Ties and the
+    gradient go to the lowest index; padding < kernel keeps inputs in every window.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool1d expects a (B, C, L) input, got {x.data.shape}")
-    _check_window("max_pool1d", kernel, stride, padding)
     b, c, length = x.data.shape
-    l_out = (length + 2 * padding - kernel) // stride + 1
-    if l_out < 1:
-        raise ShapeError(f"max_pool1d: output length {l_out} < 1")
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)),
-                    constant_values=-np.inf)
-    else:
-        xp = x.data
-    out = xp[:, :, 0 : stride * l_out : stride].copy()
+    l_out, taps = _window_taps("max_pool1d", length, kernel, stride, padding)
+    if padding >= kernel:
+        raise ShapeError(f"max_pool1d: padding {padding} must be < kernel {kernel}")
+    out = np.full((b, c, l_out), -np.inf, x.data.dtype)
     arg = np.zeros(out.shape, np.intp)
-    for t in range(1, kernel):
-        tap = xp[:, :, t : t + stride * l_out : stride]
-        np.copyto(arg, t, where=tap > out)
-        np.maximum(out, tap, out=out)
+    for t, (j0, j1, src) in enumerate(taps):
+        tap, best = x.data[:, :, src], out[:, :, j0:j1]
+        np.copyto(arg[:, :, j0:j1], t, where=tap > best)
+        np.maximum(best, tap, out=best)
 
     def backward(g):
-        gxp = np.zeros_like(xp)
-        for t in range(kernel):
-            gxp[:, :, t : t + stride * l_out : stride] += g * (arg == t)
-        gx = gxp[:, :, padding : padding + length] if padding else gxp
+        gx = np.zeros(x.data.shape, x.data.dtype)
+        for t, (j0, j1, src) in enumerate(taps):
+            gx[:, :, src] += g[:, :, j0:j1] * (arg[:, :, j0:j1] == t)
         return (gx,)
 
     return _node(out, (x,), backward)

@@ -342,6 +342,8 @@ def predict(model, records, batch_size=64):
 
     The forward passes run under ``no_grad``, so no graph is recorded.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     preds = []
     dtype = model.config.dtype
     with no_grad():
@@ -456,6 +458,9 @@ def benchmark_inference(model, dataset, repeats=3, split="test", batch_size=32,
 
     Like `predict`, the forward passes run under ``no_grad``.
     """
+    if batch_size < 1 or repeats < 1:
+        raise ValueError(f"batch_size {batch_size} and repeats {repeats} must "
+                         "be at least 1")
     records = dataset.records_in(split)
     if not records:
         raise ValueError(f"split {split!r} is empty")

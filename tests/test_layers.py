@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -659,6 +661,44 @@ class TestReluAndPools:
         with pytest.raises(ShapeError, match="kernel .* stride .* padding"):
             max_pool1d(Tensor(np.ones((1, 2, 8))), kernel, stride, padding)
 
+    @pytest.mark.parametrize("kernel,padding", [(2, 2), (3, 4), (1, 1)])
+    def test_max_pool_padding_not_below_kernel_rejected(self, kernel, padding):
+        # such windows would hold only padding and return -inf
+        with pytest.raises(ShapeError, match=f"padding {padding} .* kernel {kernel}"):
+            max_pool1d(Tensor(np.ones((1, 1, 4))), kernel, 1, padding)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_max_pool_matches_loop_oracle_with_ties(self, data):
+        kernel = data.draw(st.integers(1, 5))
+        stride = data.draw(st.integers(1, 4))
+        padding = data.draw(st.integers(0, kernel - 1))
+        length = data.draw(st.integers(max(1, kernel - 2 * padding), 20))
+        bsz, chans = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # Values from {0, 1, 2} plant ties in most windows; integer upstream
+        # gradients make every sum exact, whatever order it is taken in.
+        x = rng.integers(0, 3, size=(bsz, chans, length)).astype(np.float64)
+        l_out = (length + 2 * padding - kernel) // stride + 1
+        g = rng.integers(-3, 4, size=(bsz, chans, l_out)).astype(np.float64)
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool1d(xt, kernel, stride, padding)
+        (out * Tensor(g)).sum().backward()
+
+        expect = np.empty_like(g)
+        expect_gx = np.zeros_like(x)
+        for n in range(bsz):
+            for c in range(chans):
+                for j in range(l_out):
+                    win = [x[n, c, i] if 0 <= i < length else -np.inf
+                           for i in range(j * stride - padding,
+                                          j * stride - padding + kernel)]
+                    expect[n, c, j] = max(win)
+                    first = j * stride - padding + win.index(max(win))
+                    expect_gx[n, c, first] += g[n, c, j]
+        np.testing.assert_array_equal(out.data, expect)
+        np.testing.assert_array_equal(xt.grad, expect_gx)
+
     def test_max_pool_rejects_non_3d_input(self):
         with pytest.raises(ShapeError, match=r"\(B, C, L\) input"):
             max_pool1d(Tensor(np.ones((2, 8))), 3, 2, 1)
@@ -672,6 +712,46 @@ class TestReluAndPools:
             return (pooled_features(max_pool1d(p["x"], 3, 2, 1)) * Tensor(w)).sum()
 
         assert grad_check(Graph(build, {"x": x}), {}).passed
+
+
+def _held_after(build):
+    """Bytes that `build()` allocates and its result keeps alive."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestPaddingRetention:
+    """A padded conv or max-pool node keeps no padded copy of its input, and
+    its input gradient is a fresh C-contiguous array of the input's shape."""
+
+    SLACK = 16 * 1024
+
+    def _check_input_gradient(self, xt, out):
+        (out * Tensor(np.ones_like(out.data))).sum().backward()
+        assert xt.grad.shape == xt.data.shape
+        assert xt.grad.flags.c_contiguous
+        assert xt.grad.base is None
+
+    def test_conv_holds_only_output_and_im2col(self):
+        rng = np.random.default_rng(30)
+        xt = Tensor(rng.normal(size=(4, 16, 512)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 3)), requires_grad=True)
+        out, held = _held_after(lambda: conv1d(xt, w, None, 1, 1))
+        cols_nbytes = 3 * xt.data.nbytes
+        assert held <= out.data.nbytes + cols_nbytes + self.SLACK
+        self._check_input_gradient(xt, out)
+
+    def test_max_pool_holds_only_output_and_argmax(self):
+        rng = np.random.default_rng(31)
+        xt = Tensor(rng.normal(size=(4, 16, 512)), requires_grad=True)
+        out, held = _held_after(lambda: max_pool1d(xt, 3, 2, 1))
+        assert held <= 2 * out.data.nbytes + self.SLACK  # out and the argmax
+        self._check_input_gradient(xt, out)
 
 
 class TestCrossEntropy:

@@ -258,6 +258,15 @@ class TestMetrics:
         with pytest.raises(ValueError, match="empty"):
             evaluate(build_model(tiny_config(), seed=0), ds, "test")
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_below_one_rejected_by_predict_and_evaluate(self, batch_size):
+        ds = toy_dataset(n_per_class=4)
+        model = build_model(tiny_config(), seed=0)
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            predict(model, ds.records_in("train"), batch_size)
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            evaluate(model, ds, "train", batch_size)
+
     def test_text_and_keyvalue_output(self):
         rep = metrics_from_confusion([[2, 0], [1, 1]])
         text = rep.to_text(["aa", "bb"])
@@ -377,3 +386,12 @@ class TestBenchmark:
                                     batch_size=4)
         assert len(bench.per_repeat) == 3
         assert bench.mean_seconds_per_batch > 0.0
+
+    @pytest.mark.parametrize("batch_size,repeats", [(0, 1), (-1, 1), (4, 0),
+                                                    (4, -2)])
+    def test_batch_or_repeats_below_one_rejected(self, batch_size, repeats):
+        ds = toy_dataset(n_per_class=4)
+        model = build_model(tiny_config(), seed=0)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            benchmark_inference(model, ds, repeats=repeats, split="train",
+                                batch_size=batch_size)
