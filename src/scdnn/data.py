@@ -10,7 +10,7 @@ ECGB file layout (all integers little-endian):
     n_leads          u16
     n_records        u32
     per record:
-        record_id    u16 length, UTF-8 bytes
+        record_id    u16 length, UTF-8 bytes (unique within the file)
         label        u16
         split        u8   (0 train, 1 val, 2 test, 255 unassigned)
         length       u32
@@ -90,7 +90,11 @@ class EcgDataset:
 
     def __post_init__(self):
         n = len(self.class_names)
+        seen = set()
         for rec in self.records:
+            if rec.record_id in seen:
+                raise ValueError(f"record id {rec.record_id!r} is repeated")
+            seen.add(rec.record_id)
             if not 0 <= rec.label < n:
                 raise ValueError(
                     f"record {rec.record_id!r} labelled {rec.label}, but only "
@@ -105,9 +109,6 @@ class EcgDataset:
     @property
     def max_length(self):
         return max(rec.length for rec in self.records)
-
-    def split_of(self, record_id):
-        return self.splits.get(record_id)
 
     def records_in(self, split):
         if split not in SPLIT_NAMES:
@@ -182,7 +183,10 @@ def read_ecgb(path):
     records = []
     splits = {}
     for _ in range(n_records):
+        start = cur.offset
         rid = cur.text("record id")
+        if rid in splits:
+            raise EcgbFormatError(start, f"repeated record id {rid!r}")
         label = cur.u16("label")
         split_code = cur.u8("split code")
         if split_code not in _CODE_SPLITS:

@@ -5,8 +5,9 @@ loss.
 Layers own their parameter tensors; forward methods trace autodiff nodes,
 each one node with a closed-form backward. Convolution is cross-correlation
 (no kernel flip) and runs as one copy into a length-minor (C_in*k, B*L_out)
-im2col matrix plus one GEMM per call. Convolution and max pooling pad by
-index ranges, so no padded copy of the input is built or kept.
+im2col matrix plus one GEMM per call; the backward rebuilds that matrix from
+the input instead of keeping it. Convolution and max pooling pad by index
+ranges, so no padded copy of the input is built or kept.
 """
 
 import numpy as np
@@ -66,9 +67,10 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
 
     One copy per tap gathers the windows into `cols`, (C_in*k, B*L_out),
     whose row (c, t) holds x[b, c, j*stride + t - padding] at column (b, j),
-    or 0 where that index falls in the padding. Then out = W @ cols, and the
-    backward scatters W.T @ g onto a zero gradient of x's shape one tap at a
-    time (col2im). The node keeps only `cols` and the weight.
+    or 0 where that index falls in the padding. Then out = W @ cols. The node
+    keeps no `cols`: its backward rebuilds it from x for dW = g @ cols.T,
+    writes W.T @ g into it, and scatters that onto a zero gradient of x's
+    shape one tap at a time (col2im).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv1d expects a (B, C, L) input, got {x.data.shape}")
@@ -79,24 +81,28 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
             f"conv1d: input has {c_in} channels but kernel expects {c_in_w}"
         )
     l_out, taps = _window_taps("conv1d", length, kernel, stride, padding)
-    cols4 = np.empty((c_in, kernel, b, l_out), x.data.dtype)
-    for t, (j0, j1, src) in enumerate(taps):
-        cols4[:, t, :, :j0] = cols4[:, t, :, j1:] = 0
-        cols4[:, t, :, j0:j1] = x.data[:, :, src].transpose(1, 0, 2)
-    cols = cols4.reshape(c_in * kernel, b * l_out)
+
+    def im2col():
+        cols = np.empty((c_in, kernel, b, l_out), x.data.dtype)
+        for t, (j0, j1, src) in enumerate(taps):
+            cols[:, t, :, :j0] = cols[:, t, :, j1:] = 0
+            cols[:, t, :, j0:j1] = x.data[:, :, src].transpose(1, 0, 2)
+        return cols.reshape(c_in * kernel, b * l_out)
+
     wflat = weight.data.reshape(c_out, c_in * kernel)
     out = np.ascontiguousarray(
-        (wflat @ cols).reshape(c_out, b, l_out).transpose(1, 0, 2)
+        (wflat @ im2col()).reshape(c_out, b, l_out).transpose(1, 0, 2)
     )
     if bias is not None:
         out += bias.data[None, :, None]
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, b * l_out)
+        cols = im2col()
         gw = (g2 @ cols.T).reshape(c_out, c_in, kernel)
         gx = None
         if x.requires_grad:
-            gcols = (wflat.T @ g2).reshape(c_in, kernel, b, l_out)
+            gcols = np.matmul(wflat.T, g2, out=cols).reshape(c_in, kernel, b, l_out)
             gx = np.zeros(x.data.shape, x.data.dtype)
             for t, (j0, j1, src) in enumerate(taps):
                 gx[:, :, src] += gcols[:, t, :, j0:j1].transpose(1, 0, 2)

@@ -163,6 +163,14 @@ def _loss_of(model, x, labels, mode, update_running=None):
     return cross_entropy(logits, labels)
 
 
+def _check_class_count(model, dataset):
+    if len(dataset.class_names) != model.config.n_classes:
+        raise ValueError(
+            f"dataset has {len(dataset.class_names)} classes, model expects "
+            f"{model.config.n_classes}"
+        )
+
+
 def train(model, dataset, hyper, trace_callback=None):
     """Run the full optimization schedule; returns the TraceLog.
 
@@ -176,11 +184,7 @@ def train(model, dataset, hyper, trace_callback=None):
     if len(records) < 2:
         raise ValueError(f"train split has {len(records)} records; train-mode "
                          f"batch normalization needs at least 2")
-    if len(dataset.class_names) != model.config.n_classes:
-        raise ValueError(
-            f"dataset has {len(dataset.class_names)} classes, model expects "
-            f"{model.config.n_classes}"
-        )
+    _check_class_count(model, dataset)
     if len({rec.length for rec in records}) != 1:
         raise ValueError("train records have mixed lengths; pad to max first")
     dtype = model.config.dtype
@@ -355,6 +359,7 @@ def predict(model, records, batch_size=64):
 
 
 def evaluate(model, dataset, split="test", batch_size=64):
+    _check_class_count(model, dataset)
     records = dataset.records_in(split)
     if not records:
         raise ValueError(f"split {split!r} is empty")

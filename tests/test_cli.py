@@ -262,6 +262,21 @@ class TestErrors:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_eval_class_count_mismatch_reports_error(self, micro_dataset,
+                                                     tmp_path, capsys):
+        two = tmp_path / "two.ecgb"
+        assert main(["synth", "--classes", "2", "--n", "4", "--length", "64",
+                     "--out", str(two)]) == 0
+        run = tmp_path / "run"
+        assert main(["train", "--data", micro_dataset, "--out-dir", str(run),
+                     "--epochs", "1", "--batch", "8", "--stage-widths", "4,8",
+                     "--seed", "3"]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(run / "model.scdn"),
+                   "--data", str(two)])
+        assert rc == 1
+        assert "dataset has 2 classes, model expects 3" in capsys.readouterr().err
+
     def test_batch_of_one_rejected(self, micro_dataset, tmp_path, capsys):
         rc = main(["train", "--data", micro_dataset, "--out-dir",
                    str(tmp_path / "o"), "--epochs", "2", "--batch", "1",

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,29 @@ class TestContainer:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(EcgbFormatError, match="trailing"):
             read_ecgb(path)
+
+    def test_repeated_record_id_rejected_by_dataset(self):
+        records = [EcgRecord(np.zeros((1, 4), np.float32), 0, rid)
+                   for rid in ("a", "b", "a")]
+        with pytest.raises(ValueError, match="record id 'a' is repeated"):
+            EcgDataset(records, ["x", "y"], 1)
+
+    def test_repeated_record_id_in_file_reports_offset(self, tmp_path):
+        # two records with id "a", the first in train and the second in test:
+        # read back as one dataset, both would land in test
+        def record(split_code):
+            fields = struct.pack("<HBI", 0, split_code, 2)  # label, split, length
+            return struct.pack("<H", 1) + b"a" + fields + bytes(8)
+
+        head = b"ECGB" + struct.pack("<HH", 1, 2) + b"".join(
+            struct.pack("<H", 1) + name for name in (b"x", b"y")
+        ) + struct.pack("<HI", 1, 2)
+        first = head + record(0)
+        path = tmp_path / "dup.ecgb"
+        path.write_bytes(first + record(2))
+        with pytest.raises(EcgbFormatError, match="repeated record id 'a'") as err:
+            read_ecgb(path)
+        assert err.value.offset == len(first)
 
     def test_class_supports_report(self, tmp_path):
         # a container written with named disease classes reports its

@@ -258,6 +258,15 @@ class TestMetrics:
         with pytest.raises(ValueError, match="empty"):
             evaluate(build_model(tiny_config(), seed=0), ds, "test")
 
+    @pytest.mark.parametrize("n_classes", [5, 2])
+    def test_evaluate_rejects_class_count_mismatch(self, n_classes):
+        ds = stratified_split(synth_generate(4, n_classes, length=64, seed=0),
+                              (0.5, 0.25, 0.25), seed=0)
+        model = build_model(tiny_config(n_classes=3), seed=0)
+        with pytest.raises(ValueError, match=f"dataset has {n_classes} "
+                                             f"classes, model expects 3"):
+            evaluate(model, ds, "test")
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_below_one_rejected_by_predict_and_evaluate(self, batch_size):
         ds = toy_dataset(n_per_class=4)
