@@ -2,7 +2,7 @@
 whose stage outputs are enhanced by trainable soft frequency thresholds.
 """
 
-from .autodiff import Graph, GradientMap, Tensor, grad_check
+from .autodiff import Tensor, grad_check
 from .data import EcgDataset, EcgRecord, read_ecgb, synth_generate, write_ecgb
 from .model import ModelConfig, ScdnnModel, build_model, load_model, save_model
 from .satse import SatseBlock, hard_mask, soft_mask
@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor",
-    "Graph",
-    "GradientMap",
     "grad_check",
     "dft",
     "idft",

@@ -18,6 +18,10 @@ Inside ``with no_grad():`` operations return plain tensors with no parents
 and no closure, so inference retains nothing for a backward pass. The flag
 is a ``contextvars.ContextVar``: it holds per thread and per asyncio task,
 and it is restored when the block exits, also on an exception.
+
+``grad_check(loss_fn, params)`` checks the backward rules: it differentiates
+a zero-argument loss closure once, then compares each component of the
+named parameter leaves against central finite differences of that closure.
 """
 
 import contextlib
@@ -27,8 +31,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Graph",
-    "GradientMap",
     "GradCheckReport",
     "ShapeError",
     "stable_sigmoid",
@@ -95,14 +97,13 @@ def _grad_for(parent_data, g):
 class Tensor:
     """A dense array node in a dynamically recorded computation graph."""
 
-    def __init__(self, data, requires_grad=False, name=None, dtype=None,
-                 _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, dtype=None, _parents=(),
+                 _backward=None):
         self.data = _as_float_array(data, dtype)
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents
         )
         self.grad = None
-        self.name = name
         self._parents = tuple(_parents)
         self._backward = _backward
 
@@ -118,8 +119,7 @@ class Tensor:
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
-        nm = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req}{nm})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req})"
 
     # -- operators -----------------------------------------------------
 
@@ -292,95 +292,7 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _node(out, (a,), backward)
 
 
-# -- graphs ----------------------------------------------------------------
-
-
-class GradientMap:
-    """Named gradients produced by one backward pass.
-
-    `entries` maps parameter names to numpy arrays with the parameter's
-    shape; `nonfinite` lists names whose gradient contains NaN or Inf.
-    """
-
-    def __init__(self, entries, nonfinite=()):
-        self.entries = dict(entries)
-        self.nonfinite = tuple(nonfinite)
-
-    def __getitem__(self, name):
-        return self.entries[name]
-
-    def __contains__(self, name):
-        return name in self.entries
-
-    def keys(self):
-        return self.entries.keys()
-
-    def items(self):
-        return self.entries.items()
-
-    def __len__(self):
-        return len(self.entries)
-
-
-class Graph:
-    """A reusable computation over named parameter leaves and named inputs.
-
-    `build` is called as ``build(parameters, inputs)`` with dicts of
-    Tensors and must return the output tensor. Re-running `forward` traces
-    a fresh graph against the current parameter values, which is what lets
-    finite-difference checks perturb `Tensor.data` in place.
-    """
-
-    def __init__(self, build, parameters=None):
-        self.build = build
-        self.parameters = dict(parameters or {})
-        for name, p in self.parameters.items():
-            if not isinstance(p, Tensor):
-                raise TypeError(f"parameter {name!r} is not a Tensor")
-        self.output = None
-        self._bound_inputs = None
-
-    def forward(self, inputs=None):
-        if inputs is not None:
-            self._bound_inputs = {
-                k: v if isinstance(v, Tensor) else Tensor(v)
-                for k, v in inputs.items()
-            }
-        bound = self._bound_inputs or {}
-        try:
-            self.output = self.build(self.parameters, bound)
-        except KeyError as exc:
-            raise KeyError(
-                f"graph is missing a required input or parameter: {exc.args[0]!r}"
-            ) from exc
-        if not isinstance(self.output, Tensor):
-            raise TypeError("graph build function must return a Tensor")
-        return self.output
-
-    def zero_grad(self):
-        for p in self.parameters.values():
-            p.grad = None
-
-    def backward(self):
-        """Differentiate the retained scalar output into a GradientMap.
-
-        This consumes the graph traced by the last `forward`; call `forward`
-        again before the next `backward`.
-        """
-        if self.output is None:
-            raise RuntimeError("graph backward requires a prior forward pass")
-        self.zero_grad()
-        self.output.backward()
-        entries = {}
-        nonfinite = []
-        for name, p in self.parameters.items():
-            if not p.requires_grad:
-                continue
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            entries[name] = g
-            if not np.all(np.isfinite(g)):
-                nonfinite.append(name)
-        return GradientMap(entries, nonfinite)
+# -- gradient checking -----------------------------------------------------
 
 
 class GradCheckReport:
@@ -408,38 +320,43 @@ class GradCheckReport:
         return f"GradCheckReport({status} at {self.tolerance:g}; worst: {top})"
 
 
-def grad_check(graph, inputs=None, epsilon=1e-6, tolerance=1e-4):
-    """Compare every parameter component against central finite differences.
+def grad_check(loss_fn, params, epsilon=1e-6, tolerance=1e-4):
+    """Compare every component of `params` against central finite differences.
 
-    Requires float64 parameters; the relative error per component is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    `loss_fn` takes no arguments and returns the scalar loss Tensor; inputs
+    are whatever it closes over. `params` maps names to the float64 leaves
+    to check; leaves that do not require gradients are skipped. One backward
+    pass gives the analytic gradient, then each component is perturbed in
+    place by +-`epsilon` and `loss_fn` is called for the two losses. The
+    relative error per component is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Components
+    whose analytic gradient or perturbed losses are not finite are listed
+    per name in the report's `nonfinite`, which fails it.
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-4]")
-    for name, p in graph.parameters.items():
-        if p.requires_grad and p.data.dtype != np.float64:
+    params = {k: p for k, p in params.items() if p.requires_grad}
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
             raise TypeError(f"grad_check requires float64 parameters ({name})")
-
-    graph.forward(inputs)
-    analytic = graph.backward()
+        p.grad = None
+    loss_fn().backward()
 
     max_rel = {}
     nonfinite = {}
-    for name, p in graph.parameters.items():
-        if not p.requires_grad:
-            continue
+    for name, p in params.items():
         flat = p.data.ravel()
-        ana = analytic[name].ravel()
+        ana = (np.zeros_like(p.data) if p.grad is None else p.grad).ravel()
         worst = 0.0
         bad = []
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            lp = graph.forward().data.item()
+            lp = loss_fn().data.item()
             flat[i] = orig - epsilon
-            lm = graph.forward().data.item()
+            lm = loss_fn().data.item()
             flat[i] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
+            if not (np.isfinite(ana[i]) and np.isfinite(lp) and np.isfinite(lm)):
                 bad.append(i)
                 continue
             num = (lp - lm) / (2.0 * epsilon)
@@ -448,5 +365,4 @@ def grad_check(graph, inputs=None, epsilon=1e-6, tolerance=1e-4):
         max_rel[name] = worst
         if bad:
             nonfinite[name] = bad
-    graph.forward()  # leave the graph evaluated at the unperturbed point
     return GradCheckReport(max_rel, nonfinite, tolerance)

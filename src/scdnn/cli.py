@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import Graph, grad_check
+from .autodiff import Tensor, grad_check
 from .data import pad_to_max, read_ecgb, stratified_split, synth_generate, write_ecgb
 from .model import ModelConfig, build_model, load_model, save_model, tiny_config
 from .training import (
@@ -300,19 +300,14 @@ def _randomize_for_gradcheck(model, seed):
                 p.data += rng.normal(0, 0.1, p.data.shape)
 
 
-def build_gradcheck_graph(model, labels):
-    """Loss graph over every trainable parameter of the model.
+def gradcheck_loss(model, batch, labels):
+    """Zero-argument loss closure over a fixed batch, for ``grad_check``.
 
-    The batch is the graph input ``"x"``, bound by ``grad_check`` or
-    ``Graph.forward``; the `labels` are fixed here. Runs train-mode
-    statistics with running-average updates disabled so repeated
-    evaluations stay pure.
+    Runs train-mode statistics with running-average updates disabled, so
+    repeated evaluations stay pure.
     """
-
-    def build(params, inputs):
-        return _loss_of(model, inputs["x"], labels, "train", False)
-
-    return Graph(build, model.trainable_parameters())
+    x = Tensor(batch)
+    return lambda: _loss_of(model, x, labels, "train", False)
 
 
 def cmd_gradcheck(args):
@@ -336,26 +331,23 @@ def cmd_gradcheck(args):
     rng = np.random.default_rng([args.seed, 3])
     batch = rng.normal(size=(args.batch, config.n_leads, args.length))
     labels = rng.integers(0, config.n_classes, size=args.batch)
-    graph = build_gradcheck_graph(model, labels)
-    if args.param:
-        graph.parameters = {
-            k: v for k, v in graph.parameters.items() if args.param in k
-        }
-        if not graph.parameters:
-            print(f"error: no parameter name contains {args.param!r}",
-                  file=sys.stderr)
-            return 1
-    n_comp = sum(p.data.size for p in graph.parameters.values())
-    print(f"checking {len(graph.parameters)} parameters "
+    params = {k: v for k, v in model.trainable_parameters().items()
+              if args.param in k}
+    if not params:
+        print(f"error: no parameter name contains {args.param!r}",
+              file=sys.stderr)
+        return 1
+    n_comp = sum(p.data.size for p in params.values())
+    print(f"checking {len(params)} parameters "
           f"({n_comp} components) at tolerance {args.tolerance:g}")
-    report = grad_check(graph, {"x": batch}, epsilon=args.epsilon,
-                        tolerance=args.tolerance)
+    report = grad_check(gradcheck_loss(model, batch, labels), params,
+                        epsilon=args.epsilon, tolerance=args.tolerance)
     print(f"{'parameter':<32} {'max rel error':>14}")
     for name, err in sorted(report.max_rel_error.items(), key=lambda kv: -kv[1]):
         mark = "" if err < args.tolerance else "  <-- FAIL"
         print(f"{name:<32} {err:>14.3e}{mark}")
     if report.nonfinite:
-        print(f"non-finite losses hit for: {sorted(report.nonfinite)}")
+        print(f"non-finite gradients or losses for: {sorted(report.nonfinite)}")
     print("gradient check:", "PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1
 
@@ -427,7 +419,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--param", help="restrict to parameter names containing this")
+    p.add_argument("--param", default="",
+                   help="restrict to parameter names containing this")
     p.add_argument("--widths", default="4,8")
     p.add_argument("--length", type=int, default=64)
     p.add_argument("--batch", type=int, default=2)

@@ -105,6 +105,11 @@ class EcgDataset:
                     f"record {rec.record_id!r} has {rec.leads.shape[0]} leads, "
                     f"dataset declares {self.n_leads}"
                 )
+        for rid, split in self.splits.items():
+            if split not in _SPLIT_CODES:
+                raise ValueError(f"record {rid!r} has unknown split {split!r}")
+            if rid not in seen:
+                raise ValueError(f"split given for unknown record {rid!r}")
 
     @property
     def max_length(self):
@@ -165,7 +170,12 @@ class _Cursor:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def text(self, what):
-        return self.take(self.u16(f"{what} length"), what).decode("utf-8")
+        raw = self.take(self.u16(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise EcgbFormatError(self.offset - len(raw),
+                                  f"{what} is not UTF-8") from None
 
 
 def read_ecgb(path):

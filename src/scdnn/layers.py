@@ -3,11 +3,12 @@ the pooled head features, the linear classifier head, and the cross-entropy
 loss.
 
 Layers own their parameter tensors; forward methods trace autodiff nodes,
-each one node with a closed-form backward. Convolution is cross-correlation
-(no kernel flip) and runs as one copy into a length-minor (C_in*k, B*L_out)
-im2col matrix plus one GEMM per call; the backward rebuilds that matrix from
-the input instead of keeping it. Convolution and max pooling pad by index
-ranges, so no padded copy of the input is built or kept.
+each one node with a closed-form backward. Convolution is bias-free, since
+each conv feeds a BatchNorm, and is cross-correlation (no kernel flip). It
+runs as one copy into a length-minor (C_in*k, B*L_out) im2col matrix plus
+one GEMM per call; the backward rebuilds that matrix from the input instead
+of keeping it. Convolution and max pooling pad by index ranges, so no
+padded copy of the input is built or kept.
 """
 
 import numpy as np
@@ -59,11 +60,11 @@ def _window_taps(op, length, kernel, stride, padding):
     return l_out, taps
 
 
-def conv1d(x, weight, bias=None, stride=1, padding=0):
+def conv1d(x, weight, stride=1, padding=0):
     """Cross-correlate (B, C_in, L) with (C_out, C_in, k) kernels.
 
-    `bias` is optional: convolutions feeding a BatchNorm layer omit it,
-    since the normalization cancels any channel offset exactly.
+    There is no bias: every convolution in the model feeds a BatchNorm
+    layer, whose normalization cancels any channel offset exactly.
 
     One copy per tap gathers the windows into `cols`, (C_in*k, B*L_out),
     whose row (c, t) holds x[b, c, j*stride + t - padding] at column (b, j),
@@ -93,8 +94,6 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
     out = np.ascontiguousarray(
         (wflat @ im2col()).reshape(c_out, b, l_out).transpose(1, 0, 2)
     )
-    if bias is not None:
-        out += bias.data[None, :, None]
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, b * l_out)
@@ -106,35 +105,26 @@ def conv1d(x, weight, bias=None, stride=1, padding=0):
             gx = np.zeros(x.data.shape, x.data.dtype)
             for t, (j0, j1, src) in enumerate(taps):
                 gx[:, :, src] += gcols[:, t, :, j0:j1].transpose(1, 0, 2)
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2))
+        return gx, gw
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(out, parents, backward)
+    return _node(out, (x, weight), backward)
 
 
 class Conv1d:
-    """1-D convolution layer with fan-in-scaled uniform initialization."""
+    """Bias-free 1-D convolution layer with fan-in-scaled uniform init."""
 
-    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, bias=True,
-                 rng=None, dtype=np.float64):
+    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, rng=None,
+                 dtype=np.float64):
         rng = rng or np.random.default_rng(0)
-        fan_in = c_in * kernel
         self.weight = Tensor(
-            fan_in_uniform(rng, (c_out, c_in, kernel), fan_in, dtype),
+            fan_in_uniform(rng, (c_out, c_in, kernel), c_in * kernel, dtype),
             requires_grad=True,
-        )
-        self.bias = (
-            Tensor(fan_in_uniform(rng, (c_out,), fan_in, dtype), requires_grad=True)
-            if bias
-            else None
         )
         self.stride = stride
         self.padding = padding
 
     def forward(self, x):
-        return conv1d(x, self.weight, self.bias, self.stride, self.padding)
+        return conv1d(x, self.weight, self.stride, self.padding)
 
 
 class BatchNorm1d:

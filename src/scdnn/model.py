@@ -237,15 +237,13 @@ class _ResidualBlock:
         self.pairs = []
         c = c_in
         for c_out, kernel, s in specs:
-            conv = Conv1d(c, c_out, kernel, s, kernel // 2, bias=False, rng=rng,
-                          dtype=dtype)
+            conv = Conv1d(c, c_out, kernel, s, kernel // 2, rng=rng, dtype=dtype)
             self.pairs.append((conv, BatchNorm1d(c_out, dtype=dtype)))
             c = c_out
         self.c_out = c
         self.proj = None
         if stride != 1 or c_in != c:
-            self.proj = (Conv1d(c_in, c, 1, stride, 0, bias=False, rng=rng,
-                                dtype=dtype),
+            self.proj = (Conv1d(c_in, c, 1, stride, 0, rng=rng, dtype=dtype),
                          BatchNorm1d(c, dtype=dtype))
 
     def forward(self, x, mode, update_running):
@@ -283,8 +281,8 @@ class ScdnnModel:
         kind, blocks_per_stage = BACKBONES[config.backbone]
         widths = config.widths()
 
-        self.stem_conv = Conv1d(config.n_leads, widths[0], 7, 2, 3, bias=False,
-                                rng=rng, dtype=dtype)
+        self.stem_conv = Conv1d(config.n_leads, widths[0], 7, 2, 3, rng=rng,
+                                dtype=dtype)
         self.stem_bn = BatchNorm1d(widths[0], dtype=dtype)
 
         length = _conv_out_len(config.input_length, 7, 2, 3)
@@ -347,8 +345,6 @@ class ScdnnModel:
         def add_layer(prefix, layer):
             if isinstance(layer, Conv1d):
                 params[f"{prefix}.weight"] = layer.weight
-                if layer.bias is not None:
-                    params[f"{prefix}.bias"] = layer.bias
             elif isinstance(layer, BatchNorm1d):
                 params[f"{prefix}.scale"] = layer.scale
                 params[f"{prefix}.shift"] = layer.shift
@@ -527,10 +523,16 @@ class _Reader:
 
 def _read_entries(r):
     """Parse every entry into {name: array}, checking the file's structure:
-    truncation, dtype codes, repeated names and trailing bytes."""
+    truncation, UTF-8 names, dtype codes, repeated names and trailing
+    bytes."""
     entries = {}
     for _ in range(r.u32("entry count")):
-        name = r.take(r.u16("name length"), "name").decode("utf-8")
+        name_bytes = r.take(r.u16("name length"), "name")
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelIOError(f"entry name at offset "
+                               f"{r.offset - len(name_bytes)} is not UTF-8") from None
         if name in entries:
             raise ModelIOError(f"repeated entry {name!r} in model file")
         code, rank = struct.unpack("<BB", r.take(2, "dtype/rank"))

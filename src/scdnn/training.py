@@ -1,5 +1,5 @@
-"""Training loop, Adam optimizer, trace logging, macro-averaged evaluation,
-ablation sweeps, and inference timing.
+"""Training loop, Adam optimizer, trace logging, macro-averaged evaluation
+and ablation sweeps.
 
 Training is bit-reproducible at 64-bit precision for a fixed seed: batch
 shuffling, parameter init, and every update are seeded and run in a fixed
@@ -8,7 +8,6 @@ the epoch's first update, so row 0 always shows the initial values.
 """
 
 import io
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,14 +22,12 @@ __all__ = [
     "TraceLog",
     "MetricsReport",
     "AblationTable",
-    "InferenceBenchmark",
     "TrainingAbort",
     "adam_step",
     "lr_at_epoch",
     "train",
     "evaluate",
     "run_ablation",
-    "benchmark_inference",
     "TRACE_HEADER",
 ]
 
@@ -72,12 +69,6 @@ class Hyperparams:
             raise ValueError("weight_decay must be non-negative")
         if not 0 <= self.lr_drop_epoch <= self.epochs:
             raise ValueError("lr_drop_epoch must lie within the epoch range")
-
-    def to_text(self):
-        return "".join(
-            f"{k}={v}\n"
-            for k, v in vars(self).items()
-        )
 
 
 def lr_at_epoch(hyper, epoch):
@@ -445,45 +436,3 @@ def run_ablation(base_config, axis, values, dataset, hyper, repeats=1,
         }
         rows.append(AblationRow(value, stats, param_count, repeats))
     return AblationTable(axis, rows)
-
-
-# -- timing --------------------------------------------------------------------
-
-
-@dataclass
-class InferenceBenchmark:
-    mean_seconds_per_batch: float
-    std_seconds_per_batch: float
-    per_repeat: list  # one mean-seconds-per-batch entry per repeat
-
-
-def benchmark_inference(model, dataset, repeats=3, split="test", batch_size=32,
-                        warmup=1):
-    """Eval-mode wall time per batch over `repeats` passes, warmup excluded.
-
-    Like `predict`, the forward passes run under ``no_grad``.
-    """
-    if batch_size < 1 or repeats < 1:
-        raise ValueError(f"batch_size {batch_size} and repeats {repeats} must "
-                         "be at least 1")
-    records = dataset.records_in(split)
-    if not records:
-        raise ValueError(f"split {split!r} is empty")
-    dtype = model.config.dtype
-    batches = [
-        _batch_array(records[s : s + batch_size], dtype)
-        for s in range(0, len(records), batch_size)
-    ]
-    times = []
-    with no_grad():
-        for _ in range(warmup):
-            for xb in batches:
-                model.forward(Tensor(xb), "eval")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for xb in batches:
-                model.forward(Tensor(xb), "eval")
-            times.append((time.perf_counter() - t0) / len(batches))
-    return InferenceBenchmark(
-        float(np.mean(times)), float(np.std(times)), times
-    )

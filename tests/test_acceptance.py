@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from scdnn.autodiff import Graph, Tensor, grad_check
-from scdnn.cli import _randomize_for_gradcheck, build_gradcheck_graph, main
+from scdnn.autodiff import Tensor, grad_check
+from scdnn.cli import _randomize_for_gradcheck, gradcheck_loss, main
 from scdnn.data import (
     read_ecgb,
     stratified_split,
@@ -162,23 +162,24 @@ def test_c04_full_model_differentiability():
     rng = np.random.default_rng(1004)
     batch = rng.normal(size=(2, 12, 64))
     labels = rng.integers(0, 3, size=2)
-    graph = build_gradcheck_graph(model, labels)
+    params = model.trainable_parameters()
 
-    names = set(graph.parameters)
+    names = set(params)
     for needed in ("satse1.phi", "satse1.gamma", "satse1.lambda_low",
                    "satse1.lambda_high", "satse1.weight_re",
                    "satse1.weight_im", "satse2.weight_re", "stem.conv.weight",
                    "head.fc.weight"):
         assert needed in names, f"missing parameter {needed}"
 
-    report = grad_check(graph, {"x": batch}, epsilon=1e-6, tolerance=1e-4)
+    report = grad_check(gradcheck_loss(model, batch, labels), params,
+                        epsilon=1e-6, tolerance=1e-4)
     elapsed = time.time() - start
     worst_name, worst_err = report.worst(1)[0]
     assert report.passed, report.worst()
     assert elapsed < 600.0
-    n_comp = sum(p.data.size for p in graph.parameters.values())
+    n_comp = sum(p.data.size for p in params.values())
     print(f"\nACCEPTANCE 4 differentiability: PASS "
-          f"({len(graph.parameters)} tensors / {n_comp} components, worst "
+          f"({len(params)} tensors / {n_comp} components, worst "
           f"{worst_name}={worst_err:.2e} < 1e-4, {elapsed:.0f}s)")
 
 

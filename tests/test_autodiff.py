@@ -19,9 +19,9 @@ from reference_ops import (
     sigmoid,
 )
 from scdnn.autodiff import (
-    Graph,
     ShapeError,
     Tensor,
+    _node,
     grad_check,
     mul,
     no_grad,
@@ -34,34 +34,27 @@ from scdnn.model import build_model, tiny_config
 from scdnn.training import _loss_of
 
 
-def scalar_graph(fn):
-    return Graph(fn, {})
-
-
 class TestForwardEval:
     def test_product(self):
-        g = scalar_graph(lambda p, i: i["x"] * i["y"])
-        out = g.forward({"x": 3.0, "y": 4.0})
+        out = Tensor(3.0) * Tensor(4.0)
         assert out.data.item() == 12.0
 
     def test_identity(self):
         x = np.random.default_rng(0).normal(size=(3, 4))
-        g = scalar_graph(lambda p, i: i["x"])
-        out = g.forward({"x": x})
+        out = Tensor(x)
         np.testing.assert_array_equal(out.data, x)
 
     def test_sum_of_squares(self):
-        g = scalar_graph(lambda p, i: (i["x"] * i["x"]).sum())
-        out = g.forward({"x": np.array([1.0, 2.0, 3.0])})
+        x = Tensor(np.array([1.0, 2.0, 3.0]))
+        out = (x * x).sum()
         assert out.data.item() == 14.0
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        x = rng.normal(size=(2, 4))
-        g = Graph(lambda p, i: reduce_sum(sigmoid(matmul(i["x"], p["w"]))), {"w": w})
-        a = g.forward({"x": x}).data
-        b = g.forward({"x": x}).data
+        x = Tensor(rng.normal(size=(2, 4)))
+        a = reduce_sum(sigmoid(matmul(x, w))).data
+        b = reduce_sum(sigmoid(matmul(x, w))).data
         assert np.array_equal(a, b)
 
     def test_shape_mismatch_names_op(self):
@@ -72,32 +65,28 @@ class TestForwardEval:
 class TestBackward:
     def test_square(self):
         x = Tensor(np.asarray(3.0), requires_grad=True)
-        g = Graph(lambda p, i: p["x"] * p["x"], {"x": x})
-        g.forward({})
-        grads = g.backward()
-        assert grads["x"].item() == pytest.approx(6.0, abs=1e-12)
+        (x * x).backward()
+        assert x.grad.item() == pytest.approx(6.0, abs=1e-12)
 
     def test_linear_gradient_is_coefficient(self):
         c = np.array([2.0, -1.5, 0.25])
         x = Tensor(np.zeros(3), requires_grad=True)
-        g = Graph(lambda p, i: (Tensor(c) * p["x"]).sum(), {"x": x})
-        g.forward({})
-        np.testing.assert_allclose(g.backward()["x"], c, atol=0)
+        (Tensor(c) * x).sum().backward()
+        np.testing.assert_allclose(x.grad, c, atol=0)
 
     def test_cross_entropy_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(3)
         logits = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
         label = np.array([1])
-        g = Graph(lambda p, i: cross_entropy(p["z"], label), {"z": logits})
-        g.forward({})
-        grads = g.backward()
+        cross_entropy(logits, label).backward()
+        grad = logits.grad
 
         z = logits.data[0]
         p = np.exp(z - z.max())
         p /= p.sum()
         expect = p.copy()
         expect[1] -= 1.0
-        np.testing.assert_allclose(grads["z"][0], expect, atol=1e-12)
+        np.testing.assert_allclose(grad[0], expect, atol=1e-12)
 
         # independent central finite differences at step 1e-6
         eps = 1e-6
@@ -114,7 +103,7 @@ class TestBackward:
                 return -(row[label[0]] - m - np.log(np.exp(row - m).sum()))
 
             fd[k] = (ce(zp) - ce(zm)) / (2 * eps)
-        np.testing.assert_allclose(grads["z"][0], fd, atol=1e-9)
+        np.testing.assert_allclose(grad[0], fd, atol=1e-9)
 
     def test_requires_scalar_real_loss(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -127,31 +116,42 @@ class TestBackward:
 
     def test_nonfinite_gradient_flagged(self):
         x = Tensor(np.asarray(0.0), requires_grad=True)
-        g = Graph(lambda p, i: log(p["x"]), {"x": x})
-        with np.errstate(divide="ignore"):
-            g.forward({})
-            grads = g.backward()
-        assert "x" in grads.nonfinite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = grad_check(lambda: log(x), {"x": x})
+        assert "x" in rep.nonfinite
+        assert not rep.passed
+
+        # A VJP that returns NaN for one component while the loss and its
+        # finite differences stay finite: the NaN must not be read as a
+        # zero error.
+        w = Tensor(np.array([0.5, -0.25]), requires_grad=True)
+
+        def loss():
+            return _node(np.asarray(w.data.sum()), (w,),
+                         lambda g: (g * np.array([np.nan, 1.0]),))
+
+        rep = grad_check(loss, {"w": w})
+        assert rep.nonfinite == {"w": [0]}
+        assert not rep.passed
 
 
 class TestGradCheck:
     def test_quadratic_exact(self):
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        x = rng.normal(size=(2, 3))
+        x = Tensor(rng.normal(size=(2, 3)))
 
-        def build(p, i):
-            h = matmul(i["x"], p["w"])
+        def loss():
+            h = matmul(x, w)
             return (h * h).sum()
 
-        rep = grad_check(Graph(build, {"w": w}), {"x": x}, epsilon=1e-5)
+        rep = grad_check(loss, {"w": w}, epsilon=1e-5)
         assert rep.max_rel_error["w"] < 1e-8
 
     def test_epsilon_validated(self):
-        g = Graph(lambda p, i: p["w"] * p["w"],
-                  {"w": Tensor(np.asarray(1.0), requires_grad=True)})
+        w = Tensor(np.asarray(1.0), requires_grad=True)
         with pytest.raises(ValueError):
-            grad_check(g, {}, epsilon=1e-2)
+            grad_check(lambda: w * w, {"w": w}, epsilon=1e-2)
 
     def test_random_composed_graphs_match_finite_differences(self):
         # property: arbitrary compositions of smooth ops differentiate
@@ -162,17 +162,15 @@ class TestGradCheck:
             w1 = Tensor(rng.normal(size=(n, n)), requires_grad=True)
             w2 = Tensor(rng.normal(size=(n,)), requires_grad=True)
             b = Tensor(rng.normal(size=(1, n)), requires_grad=True)
-            x = rng.normal(size=(3, n))
+            x = Tensor(rng.normal(size=(3, n)))
 
-            def build(p, i):
-                h = add(matmul(i["x"], p["w1"]), p["b"])
-                h = sigmoid(h) * p["w2"]
+            def loss():
+                h = add(matmul(x, w1), b)
+                h = sigmoid(h) * w2
                 h = add(exp(reduce_mean(h, axis=0)), relu(reduce_sum(h, axis=1)).sum())
                 return reduce_sum(h)
 
-            rep = grad_check(
-                Graph(build, {"w1": w1, "w2": w2, "b": b}), {"x": x}
-            )
+            rep = grad_check(loss, {"w1": w1, "w2": w2, "b": b})
             assert rep.passed, f"trial {trial}: {rep}"
 
     def test_complex_pair_ops(self):
@@ -181,13 +179,13 @@ class TestGradCheck:
         im = Tensor(rng.normal(size=6), requires_grad=True)
         c1 = rng.normal(size=6) + 1j * rng.normal(size=6)
 
-        def build(p, i):
-            z = as_complex(p["re"], p["im"])
+        def loss():
+            z = as_complex(re, im)
             w = mul(z, Tensor(c1))
             return add((real_part(w) * real_part(w)).sum(),
                        (imag_part(w) * imag_part(w)).sum())
 
-        rep = grad_check(Graph(build, {"re": re, "im": im}), {})
+        rep = grad_check(loss, {"re": re, "im": im})
         assert rep.passed
 
 
@@ -199,13 +197,10 @@ class TestProperties:
         xs = rng.normal(size=(6, 5))
 
         def loss_for(rows):
-            def build(p, i):
-                h = sigmoid(matmul(Tensor(rows), p["w"]))
-                return (h * h).sum()
-
-            g = Graph(build, {"w": w})
-            g.forward({})
-            return g.backward()["w"]
+            w.grad = None
+            h = sigmoid(matmul(Tensor(rows), w))
+            (h * h).sum().backward()
+            return w.grad
 
         total = loss_for(xs)
         parts = sum(loss_for(xs[k : k + 1]) for k in range(6))
@@ -213,18 +208,16 @@ class TestProperties:
 
     def test_gradient_accumulates_over_reuse(self):
         x = Tensor(np.asarray(2.0), requires_grad=True)
-        g = Graph(lambda p, i: add(p["x"] * p["x"], p["x"]), {"x": x})
-        g.forward({})
-        assert g.backward()["x"].item() == pytest.approx(5.0)
+        add(x * x, x).backward()
+        assert x.grad.item() == pytest.approx(5.0)
 
     def test_unbroadcast_matches_elementwise_loop(self):
         rng = np.random.default_rng(9)
         col = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
         full = rng.normal(size=(3, 4))
-        g = Graph(lambda p, i: (p["c"] * Tensor(full)).sum(), {"c": col})
-        g.forward({})
+        (col * Tensor(full)).sum().backward()
         np.testing.assert_allclose(
-            g.backward()["c"], full.sum(axis=1, keepdims=True), atol=1e-12
+            col.grad, full.sum(axis=1, keepdims=True), atol=1e-12
         )
 
 
@@ -237,21 +230,14 @@ class TestOps:
     def test_concat_splits_gradient(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
-        g = Graph(
-            lambda p, i: (concat([p["a"], p["b"]], 1) * Tensor(np.arange(10.0).reshape(2, 5))).sum(),
-            {"a": a, "b": b},
-        )
-        g.forward({})
-        grads = g.backward()
-        np.testing.assert_array_equal(grads["a"], [[0.0, 1.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(grads["b"], [[2.0, 3.0, 4.0], [7.0, 8.0, 9.0]])
+        (concat([a, b], 1) * Tensor(np.arange(10.0).reshape(2, 5))).sum().backward()
+        np.testing.assert_array_equal(a.grad, [[0.0, 1.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0, 3.0, 4.0], [7.0, 8.0, 9.0]])
 
     def test_reshape_roundtrip(self):
         x = Tensor(np.arange(6.0), requires_grad=True)
-        g = Graph(lambda p, i: (reshape(p["x"], (2, 3)) * reshape(p["x"], (2, 3))).sum(),
-                  {"x": x})
-        g.forward({})
-        np.testing.assert_allclose(g.backward()["x"], 2 * np.arange(6.0))
+        (reshape(x, (2, 3)) * reshape(x, (2, 3))).sum().backward()
+        np.testing.assert_allclose(x.grad, 2 * np.arange(6.0))
 
 
 def _recorded(t):

@@ -95,6 +95,32 @@ class TestContainer:
             read_ecgb(path)
         assert err.value.offset == len(first)
 
+    def test_unknown_split_name_rejected(self):
+        records = [EcgRecord(np.zeros((1, 4), np.float32), 0, "a")]
+        with pytest.raises(ValueError, match="record 'a' has unknown split 'trian'"):
+            EcgDataset(records, ["x", "y"], 1, {"a": "trian"})
+
+    def test_split_of_unknown_record_rejected(self):
+        records = [EcgRecord(np.zeros((1, 4), np.float32), 0, "a")]
+        with pytest.raises(ValueError, match="unknown record 'b'"):
+            EcgDataset(records, ["x", "y"], 1, {"a": "train", "b": "test"})
+
+    @pytest.mark.parametrize("what", ["class name", "record id"])
+    def test_text_not_utf8_reports_offset(self, tmp_path, what):
+        path = tmp_path / "d.ecgb"
+        write_ecgb(small_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        # magic 4, version 2, class count 2, then each class as u16 length
+        # and name ("a" at byte 10, "b" at 13), lead count 2, record count 4,
+        # and the first record's u16 length and id "rec0" at byte 22
+        text_at, text = {"class name": (10, b"a"), "record id": (22, b"rec0")}[what]
+        assert raw[text_at : text_at + len(text)] == text
+        raw[text_at] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EcgbFormatError, match=f"{what} is not UTF-8") as err:
+            read_ecgb(path)
+        assert err.value.offset == text_at
+
     def test_class_supports_report(self, tmp_path):
         # a container written with named disease classes reports its
         # vocabulary and per-class supports on read-back

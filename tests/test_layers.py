@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_ops import add, exp, log, reduce_mean, reshape, sub
-from scdnn.autodiff import Graph, ShapeError, Tensor, grad_check, mul, relu
+from scdnn.autodiff import ShapeError, Tensor, grad_check, mul, relu
 from scdnn.layers import (
     BatchNorm1d,
     Conv1d,
@@ -20,7 +20,7 @@ from scdnn.layers import (
 )
 
 
-def naive_conv1d(x, w, b, stride, padding):
+def naive_conv1d(x, w, stride, padding):
     """Nested-loop oracle for cross-correlation."""
     bsz, c_in, length = x.shape
     c_out, _, kernel = w.shape
@@ -34,21 +34,29 @@ def naive_conv1d(x, w, b, stride, padding):
                 for c in range(c_in):
                     for t in range(kernel):
                         acc += xp[n, c, j * stride + t] * w[o, c, t]
-                out[n, o, j] = acc + (b[o] if b is not None else 0.0)
+                out[n, o, j] = acc
     return out
+
+
+def _gradients(loss, params):
+    """Backward of `loss` from cleared gradients: {name: gradient}."""
+    for p in params.values():
+        p.grad = None
+    loss.backward()
+    return {k: p.grad for k, p in params.items()}
 
 
 class TestConv1d:
     def test_identity_kernel_is_identity(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 7))
         w = np.eye(3)[:, :, None]
-        out = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
+        out = conv1d(Tensor(x), Tensor(w))
         np.testing.assert_array_equal(out.data, x)
 
     def test_hand_sum(self):
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
         w = np.array([[[1.0, 1.0]]])
-        out = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
+        out = conv1d(Tensor(x), Tensor(w))
         np.testing.assert_array_equal(out.data, [[[3.0, 5.0, 7.0]]])
 
     @pytest.mark.parametrize("stride,padding,kernel", [
@@ -58,16 +66,14 @@ class TestConv1d:
         rng = np.random.default_rng(kernel * 10 + stride)
         x = rng.normal(size=(2, 3, 11))
         w = rng.normal(size=(4, 3, kernel))
-        b = rng.normal(size=4)
-        out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+        out = conv1d(Tensor(x), Tensor(w), stride, padding)
         np.testing.assert_allclose(
-            out.data, naive_conv1d(x, w, b, stride, padding), atol=1e-10
+            out.data, naive_conv1d(x, w, stride, padding), atol=1e-10
         )
 
     def test_length_underflow_fails(self):
         with pytest.raises(ShapeError, match="output length"):
-            conv1d(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 5))),
-                   Tensor(np.zeros(1)))
+            conv1d(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros((1, 1, 5))))
 
     @pytest.mark.parametrize("kernel,stride,padding", [
         (0, 1, 0), (3, 0, 1), (3, 1, -1),
@@ -75,25 +81,23 @@ class TestConv1d:
     def test_bad_window_rejected(self, kernel, stride, padding):
         x, w = Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 2, kernel)))
         with pytest.raises(ShapeError, match="kernel .* stride .* padding"):
-            conv1d(x, w, None, stride, padding)
+            conv1d(x, w, stride, padding)
 
     def test_channel_mismatch_fails(self):
         with pytest.raises(ShapeError, match="channels"):
-            conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 3))),
-                   Tensor(np.zeros(1)))
+            conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 3))))
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
         layer = Conv1d(3, 4, 3, stride=2, padding=1, rng=rng)
-        x = rng.normal(size=(2, 3, 9))
+        x = Tensor(rng.normal(size=(2, 3, 9)))
         tgt = rng.normal(size=(2, 4, 5))
 
-        def build(p, i):
-            d = sub(layer.forward(i["x"]), Tensor(tgt))
+        def loss():
+            d = sub(layer.forward(x), Tensor(tgt))
             return reduce_mean(d * d)
 
-        rep = grad_check(Graph(build, {"w": layer.weight, "b": layer.bias}),
-                         {"x": x})
+        rep = grad_check(loss, {"w": layer.weight})
         assert rep.passed
 
     @pytest.mark.parametrize("kernel,stride,padding,length", [
@@ -106,12 +110,10 @@ class TestConv1d:
         l_out = (length + 2 * padding - kernel) // stride + 1
         w = rng.normal(size=(2, 4, l_out))
 
-        def build(p, i):
-            return (layer.forward(p["x"]) * Tensor(w)).sum()
+        def loss():
+            return (layer.forward(x) * Tensor(w)).sum()
 
-        rep = grad_check(
-            Graph(build, {"x": x, "w": layer.weight, "b": layer.bias}), {}
-        )
+        rep = grad_check(loss, {"x": x, "w": layer.weight})
         assert rep.passed, rep
 
     @settings(max_examples=120, deadline=None)
@@ -126,17 +128,14 @@ class TestConv1d:
         padding = data.draw(st.integers(0, 6))
         length = data.draw(st.integers(max(1, kernel - 2 * padding), 24))
         bsz, c_in, c_out = (data.draw(st.integers(1, n)) for n in (3, 4, 4))
-        with_bias = data.draw(st.booleans())
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         x = rng.normal(size=(bsz, c_in, length))
         w = rng.normal(size=(c_out, c_in, kernel))
-        b = rng.normal(size=c_out) if with_bias else None
         l_out = (length + 2 * padding - kernel) // stride + 1
         g = rng.normal(size=(bsz, c_out, l_out))
 
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        bt = Tensor(b, requires_grad=True) if with_bias else None
-        out = conv1d(xt, wt, bt, stride, padding)
+        out = conv1d(xt, wt, stride, padding)
         (out * Tensor(g)).sum().backward()
 
         def batch_major(x, w, g):
@@ -155,15 +154,12 @@ class TestConv1d:
 
         ref_gx, ref_gw = batch_major(x, w, g)
         mag_gx, mag_gw = batch_major(np.abs(x), np.abs(w), np.abs(g))
-        mag_b = np.abs(b) if with_bias else None
         checks = [
-            (out.data, naive_conv1d(x, w, b, stride, padding),
-             naive_conv1d(np.abs(x), np.abs(w), mag_b, stride, padding)),
+            (out.data, naive_conv1d(x, w, stride, padding),
+             naive_conv1d(np.abs(x), np.abs(w), stride, padding)),
             (xt.grad, ref_gx, mag_gx),
             (wt.grad, ref_gw, mag_gw),
         ]
-        if with_bias:
-            checks.append((bt.grad, g.sum(axis=(0, 2)), np.abs(g).sum(axis=(0, 2))))
         for got, ref, magnitude in checks:
             assert got.shape == ref.shape
             assert np.all(np.abs(got - ref) <= 1e-12 * magnitude)
@@ -177,12 +173,12 @@ class TestConv1d:
         assert out.data.dtype == np.float32
         # The node's own gradients, before the engine casts to leaf dtypes.
         grads = out._backward(np.ones_like(out.data))
-        assert [g.dtype for g in grads] == [np.float32] * 3
+        assert [g.dtype for g in grads] == [np.float32] * 2
 
     def test_no_input_gradient_without_requires_grad(self):
         rng = np.random.default_rng(22)
         w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
-        out = conv1d(Tensor(rng.normal(size=(2, 3, 8))), w, None, 1, 1)
+        out = conv1d(Tensor(rng.normal(size=(2, 3, 8))), w, 1, 1)
         gx, gw = out._backward(np.ones_like(out.data))
         assert gx is None
         assert gw.shape == w.data.shape
@@ -262,13 +258,11 @@ class TestBatchNorm:
         x = Tensor(rng.normal(size=(4, 3, 6)), requires_grad=True)
         w = rng.normal(size=(4, 3, 6))
 
-        def build(p, i):
-            out = layer.forward(p["x"], "train", update_running=False)
+        def loss():
+            out = layer.forward(x, "train", update_running=False)
             return (out * Tensor(w)).sum()
 
-        rep = grad_check(
-            Graph(build, {"x": x, "scale": layer.scale, "shift": layer.shift}), {}
-        )
+        rep = grad_check(loss, {"x": x, "scale": layer.scale, "shift": layer.shift})
         assert rep.passed
 
 
@@ -303,9 +297,8 @@ class TestTrainBatchNorm:
         params = {"x": x, "scale": layer.scale, "shift": layer.shift}
         results = []
         for f in (unfused, fused):
-            graph = Graph(lambda p, i, f=f: (f(p) * Tensor(w)).sum(), params)
-            graph.forward({})
-            results.append((f(params).data, graph.backward()))
+            grads = _gradients((f(params) * Tensor(w)).sum(), params)
+            results.append((f(params).data, grads))
         (ref_out, ref), (out, got) = results
 
         mean = x.data.mean(axis=(0, 2), keepdims=True)
@@ -370,12 +363,10 @@ class TestEvalBatchNorm:
         x = Tensor(rng.normal(size=(4, 3, 6)), requires_grad=True)
         w = rng.normal(size=(4, 3, 6))
 
-        def build(p, i):
-            return (layer.forward(p["x"], "eval") * Tensor(w)).sum()
+        def loss():
+            return (layer.forward(x, "eval") * Tensor(w)).sum()
 
-        rep = grad_check(
-            Graph(build, {"x": x, "scale": layer.scale, "shift": layer.shift}), {}
-        )
+        rep = grad_check(loss, {"x": x, "scale": layer.scale, "shift": layer.shift})
         assert rep.passed, rep
 
     @pytest.mark.parametrize("shape", [(3, 4, 7), (1, 2, 1), (5, 1, 16)])
@@ -403,9 +394,8 @@ class TestEvalBatchNorm:
         params = {"x": x, "scale": layer.scale, "shift": layer.shift}
         results = []
         for f in (unfused, fused):
-            graph = Graph(lambda p, i, f=f: (f(p) * Tensor(w)).sum(), params)
-            graph.forward({})
-            results.append((f(params).data, graph.backward()))
+            grads = _gradients((f(params) * Tensor(w)).sum(), params)
+            results.append((f(params).data, grads))
         (ref_out, ref), (out, got) = results
 
         assert fused(params)._parents == (x, layer.scale, layer.shift)
@@ -480,9 +470,7 @@ class TestFusedBatchNorm:
 
         grads = []
         for f in (lambda p: unfused(p, False), fused):
-            graph = Graph(lambda p, i, f=f: (f(p) * Tensor(w)).sum(), params)
-            graph.forward({})
-            grads.append(graph.backward())
+            grads.append(_gradients((f(params) * Tensor(w)).sum(), params))
         ref, got = grads
 
         if mode == "train":
@@ -512,12 +500,12 @@ class TestFusedBatchNorm:
     def test_grad_check(self, mode):
         layer, x, r, w = _fused_case(23, (3, 2, 5), mode)
 
-        def build(p, i):
-            out = layer.forward(p["x"], mode, False, p["r"], True)
+        def loss():
+            out = layer.forward(x, mode, False, r, True)
             return (out * Tensor(w)).sum()
 
         params = {"x": x, "scale": layer.scale, "shift": layer.shift, "r": r}
-        rep = grad_check(Graph(build, params), {})
+        rep = grad_check(loss, params)
         assert rep.passed, rep
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -556,24 +544,21 @@ class TestFusedBatchNorm:
         rng = np.random.default_rng(27)
         x = Tensor(rng.normal(size=(4, 3, 9)), requires_grad=True)
         w = rng.normal(size=(4, 3, 9))
-        conv = Conv1d(3, 3, 3, 1, 1, bias=False, rng=rng)
+        conv = Conv1d(3, 3, 3, 1, 1, rng=rng)
         layer = BatchNorm1d(3)
         layer.forward(conv.forward(x), "train")  # move the running statistics
 
-        def build(p, i):
-            out = layer.forward(conv.forward(p["x"]), mode, False, p["r"], True)
+        def loss(r):
+            out = layer.forward(conv.forward(x), mode, False, r, True)
             return (out * Tensor(w)).sum()
 
         params = {"x": x, "weight": conv.weight, "scale": layer.scale,
                   "shift": layer.shift}
-        rep = grad_check(Graph(build, {**params, "r": x}), {})
+        rep = grad_check(lambda: loss(x), {**params, "r": x})
         assert rep.passed, rep
-        shared = Graph(build, {**params, "r": x})
-        shared.forward({})
-        both = shared.backward()["x"]
-        apart = Graph(build, {**params, "r": Tensor(x.data, requires_grad=True)})
-        apart.forward({})
-        grads = apart.backward()
+        both = _gradients(loss(x), {**params, "r": x})["x"]
+        r = Tensor(x.data, requires_grad=True)
+        grads = _gradients(loss(r), {**params, "r": r})
         np.testing.assert_array_equal(both, grads["x"] + grads["r"])
 
 
@@ -708,10 +693,10 @@ class TestReluAndPools:
         x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
         w = rng.normal(size=(2, 6))
 
-        def build(p, i):
-            return (pooled_features(max_pool1d(p["x"], 3, 2, 1)) * Tensor(w)).sum()
+        def loss():
+            return (pooled_features(max_pool1d(x, 3, 2, 1)) * Tensor(w)).sum()
 
-        assert grad_check(Graph(build, {"x": x}), {}).passed
+        assert grad_check(loss, {"x": x}).passed
 
 
 def _held_after(build):
@@ -743,7 +728,7 @@ class TestPaddingRetention:
         rng = np.random.default_rng(30)
         xt = Tensor(rng.normal(size=(4, 16, 512)), requires_grad=True)
         w = Tensor(rng.normal(size=(16, 16, 3)), requires_grad=True)
-        out, held = _held_after(lambda: conv1d(xt, w, None, 1, 1))
+        out, held = _held_after(lambda: conv1d(xt, w, 1, 1))
         assert held <= out.data.nbytes + self.SLACK
         self._check_input_gradient(xt, out)
 
@@ -795,10 +780,10 @@ class TestCrossEntropy:
         np.testing.assert_allclose(softmax(z).data.sum(axis=1), 1.0, atol=1e-12)
         w = rng.normal(size=(3, 4))
 
-        def build(p, i):
-            return (softmax(p["z"]) * Tensor(w)).sum()
+        def loss():
+            return (softmax(z) * Tensor(w)).sum()
 
-        assert grad_check(Graph(build, {"z": z}), {}).passed
+        assert grad_check(loss, {"z": z}).passed
 
 
 class TestLinear:
@@ -814,12 +799,11 @@ class TestLinear:
     def test_gradients(self):
         rng = np.random.default_rng(17)
         layer = Linear(3, 2, rng=rng)
-        x = rng.normal(size=(4, 3))
+        x = Tensor(rng.normal(size=(4, 3)))
         y = rng.integers(0, 2, size=4)
 
-        def build(p, i):
-            return cross_entropy(layer.forward(i["x"]), y)
+        def loss():
+            return cross_entropy(layer.forward(x), y)
 
-        rep = grad_check(Graph(build, {"w": layer.weight, "b": layer.bias}),
-                         {"x": x})
+        rep = grad_check(loss, {"w": layer.weight, "b": layer.bias})
         assert rep.passed

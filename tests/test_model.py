@@ -190,7 +190,8 @@ class TestResidualBlock:
                  for n in convs}
         for name, (ci, co, kernel, s, pad) in convs.items():
             conv = layers[name]
-            assert conv.weight.data.shape == (co, ci, kernel) and conv.bias is None
+            assert conv.weight.data.shape == (co, ci, kernel)
+            assert not hasattr(conv, "bias")
             assert (conv.stride, conv.padding) == (s, pad)
             assert bn_of[name].channels == co
 
@@ -349,6 +350,21 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match=f"repeated entry '{name}'"):
             load_model(path)
 
+    def test_entry_name_not_utf8_reports_offset(self, tmp_path):
+        m = build_model(tiny_config(), seed=9)
+        path = tmp_path / "model.scdn"
+        save_model(m, path)
+        raw = bytearray(path.read_bytes())
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        name_at = 10 + cfg_len + 4 + 2  # the first entry's name bytes
+        name = next(iter(m.named_parameters()))
+        assert raw[name_at : name_at + len(name)] == name.encode()
+        raw[name_at + 1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ModelIOError,
+                           match=f"entry name at offset {name_at} is not UTF-8"):
+            load_model(path)
+
     def test_malformed_embedded_boolean_rejected(self, tmp_path):
         path = tmp_path / "model.scdn"
         save_model(build_model(tiny_config(), seed=9), path)
@@ -498,7 +514,7 @@ class TestFullModelGradients:
     def test_small_two_stage_gradcheck(self):
         # exhaustive check lives in the acceptance suite; this is a fast
         # guard on a one-stage variant
-        from scdnn.cli import _randomize_for_gradcheck, build_gradcheck_graph
+        from scdnn.cli import _randomize_for_gradcheck, gradcheck_loss
         from scdnn.autodiff import grad_check
 
         cfg = tiny_config(widths=(4,), input_length=32)
@@ -507,6 +523,5 @@ class TestFullModelGradients:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(2, 12, 32))
         labels = rng.integers(0, 3, size=2)
-        graph = build_gradcheck_graph(m, labels)
-        rep = grad_check(graph, {"x": x})
+        rep = grad_check(gradcheck_loss(m, x, labels), m.trainable_parameters())
         assert rep.passed, rep.worst()

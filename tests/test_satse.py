@@ -14,7 +14,7 @@ from reference_ops import (
     sigmoid,
     sub,
 )
-from scdnn.autodiff import Graph, ShapeError, Tensor, grad_check, mul
+from scdnn.autodiff import ShapeError, Tensor, grad_check, mul
 from scdnn.layers import cross_entropy, linear
 from scdnn.satse import (
     GAMMA_MIN,
@@ -309,7 +309,7 @@ class TestSatseGradients:
         block.lambda_high.data[...] = 0.3
         block.weight_re.data += rng.normal(size=(4, 16)) * 0.1
         block.weight_im.data += rng.normal(size=(4, 16)) * 0.1
-        x = rng.normal(size=(2, 4, 16))
+        x = Tensor(rng.normal(size=(2, 4, 16)))
         head_w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         head_b = Tensor(rng.normal(size=3), requires_grad=True)
         labels = rng.integers(0, 3, size=2)
@@ -317,14 +317,14 @@ class TestSatseGradients:
         # frequency bin and leave most of W with an exactly-zero gradient
         mix = Tensor(rng.normal(size=(1, 1, 16)))
 
-        def build(p, i):
-            h = block.forward(i["x"]) * mix
+        def loss():
+            h = block.forward(x) * mix
             feats = reduce_mean(h, axis=2)
-            return cross_entropy(linear(feats, p["head_w"], p["head_b"]), labels)
+            return cross_entropy(linear(feats, head_w, head_b), labels)
 
         params = dict(block.parameters())
         params.update({"head_w": head_w, "head_b": head_b})
-        rep = grad_check(Graph(build, params), {"x": x})
+        rep = grad_check(loss, params)
         assert rep.passed, rep
 
     def test_literal_mode_differentiates_too(self):
@@ -333,13 +333,13 @@ class TestSatseGradients:
                            mask_index_mode="literal")
         block.lambda_low.data[...] = 0.5
         block.lambda_high.data[...] = 0.25
-        x = rng.normal(size=(2, 2, 9))
+        x = Tensor(rng.normal(size=(2, 2, 9)))
         w = rng.normal(size=(2, 2, 9))
 
-        def build(p, i):
-            return (block.forward(i["x"]) * Tensor(w)).sum()
+        def loss():
+            return (block.forward(x) * Tensor(w)).sum()
 
-        rep = grad_check(Graph(build, block.parameters()), {"x": x})
+        rep = grad_check(loss, block.parameters())
         assert rep.passed, rep
 
 
@@ -414,11 +414,11 @@ class TestFusedEquivalence:
         x = Tensor(rng.normal(size=(2, 2, length)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, 2, length)))
 
-        def build(p, i):
-            return (block.forward(p["x"]) * w).sum()
+        def loss():
+            return (block.forward(x) * w).sum()
 
         params = dict(block.parameters(), x=x)
-        rep = grad_check(Graph(build, params))
+        rep = grad_check(loss, params)
         assert rep.passed, rep
 
 

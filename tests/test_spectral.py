@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_ops import add, as_complex, dft_t, idft_t, imag_part, real_part
-from scdnn.autodiff import Graph, Tensor, grad_check
+from scdnn.autodiff import Tensor, grad_check
 from scdnn.spectral import dft, idft
 
 
@@ -157,13 +157,12 @@ class TestDifferentiable:
             wr = rng.normal(size=length)
             wi = rng.normal(size=length)
 
-            def build(p, i):
-                z = op(as_complex(p["re"], p["im"]))
+            def loss():
+                z = op(as_complex(re, im))
                 return add((real_part(z) * Tensor(wr)).sum(),
                            (imag_part(z) * Tensor(wi)).sum())
 
-            rep = grad_check(Graph(build, {"re": re, "im": im}), {},
-                             tolerance=1e-6)
+            rep = grad_check(loss, {"re": re, "im": im}, tolerance=1e-6)
             assert rep.passed, f"L={length} {op.__name__}: {rep}"
 
     def test_real_input_transform_gradient(self):
@@ -171,10 +170,10 @@ class TestDifferentiable:
         x = Tensor(rng.normal(size=(2, 3, 10)), requires_grad=True)
         w = rng.normal(size=(2, 3, 10))
 
-        def build(p, i):
-            z = dft_t(p["x"])
+        def loss():
+            z = dft_t(x)
             back = real_part(idft_t(z))
             return (back * Tensor(w)).sum()
 
-        rep = grad_check(Graph(build, {"x": x}), {}, tolerance=1e-6)
+        rep = grad_check(loss, {"x": x}, tolerance=1e-6)
         assert rep.passed

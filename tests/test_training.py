@@ -11,7 +11,6 @@ from scdnn.training import (
     TRACE_HEADER,
     TrainingAbort,
     adam_step,
-    benchmark_inference,
     evaluate,
     lr_at_epoch,
     metrics_from_confusion,
@@ -334,13 +333,6 @@ class TestNoGradInference:
         logits = np.concatenate([t.data for t in recorded])
         np.testing.assert_array_equal(preds, np.argmax(logits, axis=1))
 
-    def test_benchmark_inference_records_no_graph(self, capture_forward):
-        ds = toy_dataset(n_per_class=4)
-        model = build_model(tiny_config(), seed=0)
-        captured = capture_forward(model)
-        benchmark_inference(model, ds, repeats=1, split="train", batch_size=4)
-        assert _unrecorded(captured)
-
 
 class TestAblation:
     def test_three_axes_table_shapes(self):
@@ -377,30 +369,3 @@ class TestAblation:
         with pytest.raises(ValueError, match="axis"):
             run_ablation(tiny_config(), "widths", [1], ds,
                          Hyperparams(epochs=1, lr_drop_epoch=1))
-
-
-class TestBenchmark:
-    def test_single_repeat_reports_zero_std(self):
-        ds = toy_dataset(n_per_class=4)
-        model = build_model(tiny_config(), seed=0)
-        bench = benchmark_inference(model, ds, repeats=1, split="train",
-                                    batch_size=4)
-        assert bench.std_seconds_per_batch == 0.0
-        assert len(bench.per_repeat) == 1
-
-    def test_rows_match_repeats(self):
-        ds = toy_dataset(n_per_class=4)
-        model = build_model(tiny_config(), seed=0)
-        bench = benchmark_inference(model, ds, repeats=3, split="train",
-                                    batch_size=4)
-        assert len(bench.per_repeat) == 3
-        assert bench.mean_seconds_per_batch > 0.0
-
-    @pytest.mark.parametrize("batch_size,repeats", [(0, 1), (-1, 1), (4, 0),
-                                                    (4, -2)])
-    def test_batch_or_repeats_below_one_rejected(self, batch_size, repeats):
-        ds = toy_dataset(n_per_class=4)
-        model = build_model(tiny_config(), seed=0)
-        with pytest.raises(ValueError, match="must be at least 1"):
-            benchmark_inference(model, ds, repeats=repeats, split="train",
-                                batch_size=batch_size)

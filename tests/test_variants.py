@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scdnn.autodiff import grad_check
-from scdnn.cli import _randomize_for_gradcheck, build_gradcheck_graph, main
+from scdnn.cli import _randomize_for_gradcheck, gradcheck_loss, main
 from scdnn.data import (
     EcgDataset,
     EcgRecord,
@@ -42,8 +42,8 @@ class TestDoubleSoftmax:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 12, 32))
         labels = rng.integers(0, 3, size=2)
-        graph = build_gradcheck_graph(model, labels)
-        assert grad_check(graph, {"x": x}).passed
+        assert grad_check(gradcheck_loss(model, x, labels),
+                          model.trainable_parameters()).passed
 
     def test_argmax_unchanged_so_metrics_agree(self):
         ds = toy(3)
@@ -74,9 +74,9 @@ class TestReal32:
                                         input_length=32), seed=4)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 12, 32))
-        graph = build_gradcheck_graph(model, rng.integers(0, 3, size=2))
+        loss = gradcheck_loss(model, x, rng.integers(0, 3, size=2))
         with pytest.raises(TypeError, match="float64"):
-            grad_check(graph, {"x": x})
+            grad_check(loss, model.trainable_parameters())
 
 
 class TestTiedLambdas:
