@@ -58,8 +58,8 @@ def stable_sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _as_float_array(data, dtype=None):
-    arr = np.asarray(data, dtype=dtype)
+def _as_float_array(data):
+    arr = np.asarray(data)
     if arr.dtype.kind in "iub":
         arr = arr.astype(np.float64)
     if arr.dtype.kind not in "fc":
@@ -97,9 +97,8 @@ def _grad_for(parent_data, g):
 class Tensor:
     """A dense array node in a dynamically recorded computation graph."""
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(),
-                 _backward=None):
-        self.data = _as_float_array(data, dtype)
+    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+        self.data = _as_float_array(data)
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents
         )

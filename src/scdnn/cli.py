@@ -319,18 +319,6 @@ def cmd_gradcheck(args):
         mask_index_mode=args.mask_mode or "symmetric",
     )
     model = build_model(config, seed=args.seed)
-    if model.parameter_count() > _GRADCHECK_MAX_COMPONENTS:
-        print(
-            f"error: configuration has {model.parameter_count()} parameter "
-            f"components; gradient checking is limited to "
-            f"{_GRADCHECK_MAX_COMPONENTS} to bound runtime",
-            file=sys.stderr,
-        )
-        return 1
-    _randomize_for_gradcheck(model, args.seed)
-    rng = np.random.default_rng([args.seed, 3])
-    batch = rng.normal(size=(args.batch, config.n_leads, args.length))
-    labels = rng.integers(0, config.n_classes, size=args.batch)
     params = {k: v for k, v in model.trainable_parameters().items()
               if args.param in k}
     if not params:
@@ -338,6 +326,15 @@ def cmd_gradcheck(args):
               file=sys.stderr)
         return 1
     n_comp = sum(p.data.size for p in params.values())
+    if n_comp > _GRADCHECK_MAX_COMPONENTS:
+        print(f"error: configuration has {n_comp} parameter components; "
+              f"gradient checking is limited to {_GRADCHECK_MAX_COMPONENTS} "
+              f"to bound runtime", file=sys.stderr)
+        return 1
+    _randomize_for_gradcheck(model, args.seed)
+    rng = np.random.default_rng([args.seed, 3])
+    batch = rng.normal(size=(args.batch, config.n_leads, args.length))
+    labels = rng.integers(0, config.n_classes, size=args.batch)
     print(f"checking {len(params)} parameters "
           f"({n_comp} components) at tolerance {args.tolerance:g}")
     report = grad_check(gradcheck_loss(model, batch, labels), params,

@@ -198,13 +198,18 @@ def read_ecgb(path):
         if rid in splits:
             raise EcgbFormatError(start, f"repeated record id {rid!r}")
         label = cur.u16("label")
+        if label >= len(class_names):
+            raise EcgbFormatError(cur.offset - 2, f"label {label} names no class")
         split_code = cur.u8("split code")
         if split_code not in _CODE_SPLITS:
             raise EcgbFormatError(cur.offset - 1, f"bad split code {split_code}")
         length = cur.u32("record length")
         raw = cur.take(n_leads * length * 4, f"samples of {rid!r}")
         leads = np.frombuffer(raw, dtype="<f4").reshape(n_leads, length).copy()
-        records.append(EcgRecord(leads, label, rid))
+        try:
+            records.append(EcgRecord(leads, label, rid))
+        except ValueError as exc:  # no samples, or a non-finite one
+            raise EcgbFormatError(cur.offset - len(raw), str(exc)) from None
         splits[rid] = _CODE_SPLITS[split_code]
     if cur.offset != len(cur.data):
         raise EcgbFormatError(cur.offset, "trailing bytes after last record")

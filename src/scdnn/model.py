@@ -523,8 +523,8 @@ class _Reader:
 
 def _read_entries(r):
     """Parse every entry into {name: array}, checking the file's structure:
-    truncation, UTF-8 names, dtype codes, repeated names and trailing
-    bytes."""
+    truncation, UTF-8 names, dtype codes, ranks, repeated names and
+    trailing bytes."""
     entries = {}
     for _ in range(r.u32("entry count")):
         name_bytes = r.take(r.u16("name length"), "name")
@@ -538,10 +538,18 @@ def _read_entries(r):
         code, rank = struct.unpack("<BB", r.take(2, "dtype/rank"))
         if code not in _CODE_DTYPES:
             raise ModelIOError(f"unknown dtype code {code} for entry {name!r}")
+        if rank > 32:  # numpy 1.x's ndarray limit; numpy 2 allows 64
+            raise ModelIOError(f"entry {name!r} has rank {rank} at offset "
+                               f"{r.offset - 1}; the limit is 32")
         shape = tuple(r.u32("dim") for _ in range(rank))
         count = math.prod(shape)  # a Python int: no int64 wrap-around
-        raw = r.take(count * _CODE_DTYPES[code].itemsize, f"values of {name!r}")
-        entries[name] = np.frombuffer(raw, dtype=_CODE_DTYPES[code]).reshape(shape)
+        dtype = _CODE_DTYPES[code]
+        raw = r.take(count * dtype.itemsize, f"values of {name!r}")
+        try:
+            entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        except ValueError:  # a zero-size shape whose other dimensions overflow
+            raise ModelIOError(f"entry {name!r} has shape {shape}, which numpy "
+                               f"cannot hold") from None
     if r.offset != len(r.data):
         raise ModelIOError(
             f"{len(r.data) - r.offset} trailing bytes after the last entry at "
@@ -565,14 +573,12 @@ def load_model(path):
     version = r.u16("version")
     if version != MODEL_VERSION:
         raise ModelIOError(f"unsupported model format version {version}")
-    cfg_len = r.u32("config length")
-    try:
-        config = ModelConfig.from_text(r.take(cfg_len, "config").decode("utf-8"))
+    cfg = r.take(r.u32("config length"), "config")
+    entries = _read_entries(r)
+    try:  # a config that does not decode, parse or build
+        model = build_model(ModelConfig.from_text(cfg.decode("utf-8")), seed=0)
     except ValueError as exc:
         raise ModelIOError(f"invalid embedded config: {exc}") from exc
-    entries = _read_entries(r)
-
-    model = build_model(config, seed=0)
     params = model._params
     buffers = {name: (obj, attr) for name, obj, attr in model._buffers}
     for name, arr in entries.items():

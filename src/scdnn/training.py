@@ -7,7 +7,9 @@ order. The per-epoch trace snapshots spectral-block parameters *before*
 the epoch's first update, so row 0 always shows the initial values.
 """
 
+import ctypes
 import io
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,6 +156,24 @@ def _loss_of(model, x, labels, mode, update_running=None):
     return cross_entropy(logits, labels)
 
 
+_LIBC = ctypes.CDLL(None) if os.name == "posix" else None  # for glibc's mallopt
+_heap_kept = False
+
+
+def _keep_freed_memory_in_heap():
+    """Once per process, have glibc serve arrays of up to 32 MiB (its own
+    dynamic ceiling) from the heap and never trim the heap's top, so each
+    forward reuses the pages that the last step's graph freed. Setting
+    either threshold switches off glibc's dynamic ones, so both are set."""
+    global _heap_kept
+    mallopt = getattr(_LIBC, "mallopt", None)
+    if mallopt is not None and not _heap_kept:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD, at the largest int
+    _heap_kept = True
+
+
 def _check_class_count(model, dataset):
     if len(dataset.class_names) != model.config.n_classes:
         raise ValueError(
@@ -183,6 +203,7 @@ def train(model, dataset, hyper, trace_callback=None):
     state = AdamState()
     log = TraceLog()
     n = len(records)
+    _keep_freed_memory_in_heap()
     for epoch in range(hyper.epochs):
         lr = lr_at_epoch(hyper, epoch)
         snap = model.satse_snapshot()
@@ -201,14 +222,9 @@ def train(model, dataset, hyper, trace_callback=None):
                     f"non-finite loss at epoch {epoch}, batch {start // hyper.batch_size}"
                 )
             model.zero_grad()
-            # backward frees the closures and interior gradients, but
-            # `loss` keeps the forward activations alive through its parent
-            # links until the next batch rebinds it. That is deliberate:
-            # dropping `loss` here lowers the peak further, but glibc then
-            # trims the freed heap between steps, and the next forward pays
-            # several thousand minor page faults to grow it back (L=1000,
-            # batch 32: the step median rose by about a tenth).
+            # Freed here, the graph stays in the heap for the next forward.
             loss.backward()
+            del loss
             grads = {k: p.grad for k, p in params.items()}
             adam_step(
                 params, grads, state, lr,

@@ -201,6 +201,16 @@ class TestGradcheck:
         rc = main(["gradcheck", "--param", "nonexistent"])
         assert rc == 1
 
+    def test_component_limit_counts_the_selected_parameters(self, capsys):
+        # the whole 32,64 model has 63435 components, its two phi scalars 2
+        assert main(["gradcheck", "--widths", "32,64", "--param", "phi"]) == 0
+        out = capsys.readouterr().out
+        assert "(2 components)" in out and "PASS" in out
+        assert main(["gradcheck", "--widths", "32,64"]) == 1
+        assert capsys.readouterr().err == (
+            "error: configuration has 63435 parameter components; gradient "
+            "checking is limited to 50000 to bound runtime\n")
+
 
 class TestAblate:
     def test_fixed_phi_axis_four_rows(self, micro_dataset, tmp_path, capsys):

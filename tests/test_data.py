@@ -2,7 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from byte_edits import edited
 from scdnn.data import (
     EcgDataset,
     EcgRecord,
@@ -121,6 +124,36 @@ class TestContainer:
             read_ecgb(path)
         assert err.value.offset == text_at
 
+    # In small_dataset's file the first record's label sits at byte 26 (see
+    # above), its split code at 28, its length at 29 and its samples at 33.
+    @pytest.mark.parametrize("bad", ["nan", "inf", "empty"])
+    def test_bad_samples_report_offset(self, tmp_path, bad):
+        path = tmp_path / "d.ecgb"
+        write_ecgb(small_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        if bad == "empty":
+            raw[29:33] = struct.pack("<I", 0)
+            message = r"bad shape \(3, 0\)"
+        else:
+            raw[33 + 4 * 7 : 33 + 4 * 8] = struct.pack("<f", float(bad))
+            message = "non-finite samples"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EcgbFormatError,
+                           match=f"byte 33: record 'rec0': {message}") as err:
+            read_ecgb(path)
+        assert err.value.offset == 33
+
+    def test_label_without_class_reports_offset(self, tmp_path):
+        path = tmp_path / "d.ecgb"
+        write_ecgb(small_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        assert struct.unpack_from("<H", raw, 26)[0] == 0
+        raw[26:28] = struct.pack("<H", 2)  # two classes: labels 0 and 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EcgbFormatError, match="label 2 names no class") as err:
+            read_ecgb(path)
+        assert err.value.offset == 26
+
     def test_class_supports_report(self, tmp_path):
         # a container written with named disease classes reports its
         # vocabulary and per-class supports on read-back
@@ -140,6 +173,27 @@ class TestContainer:
         back = read_ecgb(path)
         assert back.class_names == names
         assert back.class_supports() == supports
+
+
+@pytest.fixture(scope="module")
+def tiny_ecgb(tmp_path_factory):
+    """A valid file of four short two-lead records, and a path to overwrite."""
+    workdir = tmp_path_factory.mktemp("mutants")
+    write_ecgb(synth_generate(2, 2, n_leads=2, length=8, seed=0),
+               workdir / "valid.ecgb")
+    return (workdir / "valid.ecgb").read_bytes(), workdir / "mutant.ecgb"
+
+
+class TestMalformedFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loads_or_raises_format_error(self, tiny_ecgb, data):
+        raw, path = tiny_ecgb
+        path.write_bytes(data.draw(edited(raw)))
+        try:
+            read_ecgb(path)
+        except EcgbFormatError:
+            pass
 
 
 class TestPadding:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byte_edits import edited
 from reference_ops import add
 from scdnn.autodiff import ShapeError, Tensor
 from scdnn.layers import cross_entropy, relu
@@ -25,6 +26,15 @@ from scdnn.satse import MASK_INDEX_MODES
 @pytest.fixture(scope="module")
 def tiny_model():
     return build_model(tiny_config(), seed=11)
+
+
+@pytest.fixture(scope="module")
+def tiny_model_file(tmp_path_factory):
+    """A valid file of a one-stage two-lead model, and a path to overwrite."""
+    workdir = tmp_path_factory.mktemp("mutants")
+    config = tiny_config(n_classes=2, n_leads=2, input_length=16, widths=(2,))
+    save_model(build_model(config, seed=0), workdir / "valid.scdn")
+    return (workdir / "valid.scdn").read_bytes(), workdir / "mutant.scdn"
 
 
 class TestConfig:
@@ -478,6 +488,52 @@ class TestPersistence:
         path.write_bytes(raw[:count_at] + struct.pack("<I", 1) + entry)
         with pytest.raises(ModelIOError, match="truncated"):
             load_model(path)
+
+    def _with_first_entry(self, tmp_path, header):
+        """A saved tiny model cut to one entry that starts with `header`."""
+        path = self._saved_with(tmp_path, lambda m: None)
+        raw = path.read_bytes()
+        count_at = 10 + struct.unpack_from("<I", raw, 6)[0]
+        name = b"stem.conv.weight"
+        head = raw[:count_at] + struct.pack("<IH", 1, len(name)) + name
+        path.write_bytes(head + header)
+        return path, len(head)
+
+    def test_rank_above_limit_reports_offset(self, tmp_path):
+        # numpy 2 refuses a rank above 64; the reader stops at the rank byte
+        path, code_at = self._with_first_entry(tmp_path, struct.pack("<BB", 0, 65)
+                                               + bytes(4 * 65))
+        with pytest.raises(ModelIOError,
+                           match=f"'stem.conv.weight' has rank 65 at offset "
+                                 f"{code_at + 1}"):
+            load_model(path)
+
+    def test_empty_shape_numpy_cannot_hold_rejected(self, tmp_path):
+        path, _ = self._with_first_entry(
+            tmp_path, struct.pack("<BB4I", 0, 4, 0, *(2**32 - 1,) * 3))
+        with pytest.raises(ModelIOError, match="which numpy cannot hold"):
+            load_model(path)
+
+    def test_embedded_config_that_cannot_build_rejected(self, tmp_path):
+        path = self._saved_with(tmp_path, lambda m: None)
+        raw = path.read_bytes()
+        bad = raw.replace(b"phi_init=0.4", b"phi_init=8.4")
+        assert bad != raw
+        path.write_bytes(bad)
+        with pytest.raises(ModelIOError,
+                           match=r"invalid embedded config: phi_init must lie"):
+            load_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edited_file_loads_or_raises_model_io_error(self, tiny_model_file,
+                                                          data):
+        raw, path = tiny_model_file
+        path.write_bytes(data.draw(edited(raw)))
+        try:
+            load_model(path)
+        except ModelIOError:
+            pass
 
     def test_malformed_file_fails_before_building(self, tmp_path, monkeypatch):
         import scdnn.model

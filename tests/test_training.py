@@ -1,7 +1,11 @@
+import types
+import weakref
+
 import numpy as np
 import pytest
 
 from reference_ops import reduce_mean, sub
+from scdnn import autodiff, layers, satse, training
 from scdnn.autodiff import Tensor
 from scdnn.data import stratified_split, synth_generate
 from scdnn.model import build_model, tiny_config
@@ -207,6 +211,92 @@ class TestTrainLoop:
         model.head.weight.data[:] = np.nan
         with pytest.raises(TrainingAbort, match="epoch 0"):
             train(model, ds, Hyperparams(epochs=1, lr_drop_epoch=1))
+
+
+class TestStepMemory:
+    def test_no_earlier_step_graph_outlives_its_step(self):
+        model = build_model(tiny_config(), seed=0)
+        forward = model.forward
+        logits = []
+
+        def forward_after_last_step_freed(x, mode="eval", update_running=None):
+            assert not logits or logits[-1]() is None, (
+                f"step {len(logits)} still holds step {len(logits) - 1}'s graph")
+            out = forward(x, mode, update_running)
+            logits.append(weakref.ref(out))
+            return out
+
+        model.forward = forward_after_last_step_freed
+        train(model, toy_dataset(),
+              Hyperparams(epochs=2, batch_size=4, lr_drop_epoch=2))
+        assert len(logits) == 10  # 18 train records: five batches an epoch
+
+    def test_same_trace_without_mallopt(self, monkeypatch):
+        ds = toy_dataset()
+        hyper = Hyperparams(epochs=2, batch_size=8, lr_drop_epoch=1, seed=3)
+        expect = train(build_model(tiny_config(), seed=3), ds, hyper).to_csv()
+        monkeypatch.setattr(training, "_LIBC", types.SimpleNamespace())
+        monkeypatch.setattr(training, "_heap_kept", False)
+        got = train(build_model(tiny_config(), seed=3), ds, hyper).to_csv()
+        assert got == expect
+
+    def test_allocator_set_once_and_by_training_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "_LIBC", types.SimpleNamespace(
+            mallopt=lambda param, value: calls.append((param, value))))
+        monkeypatch.setattr(training, "_heap_kept", False)
+        ds = toy_dataset(n_per_class=4)
+        model = build_model(tiny_config(), seed=0)
+        evaluate(model, ds, "train")
+        assert calls == []
+        hyper = Hyperparams(epochs=1, batch_size=8, lr_drop_epoch=1)
+        train(model, ds, hyper)
+        train(model, ds, hyper)
+        # glibc's M_MMAP_THRESHOLD (-3) at its 32 MiB ceiling, and
+        # M_TRIM_THRESHOLD (-1) at the largest int, so the top is never trimmed
+        assert sorted(calls) == [(-3, 32 * 2**20), (-1, 2**31 - 1)]
+
+
+class TestReal32Guard:
+    def test_step_and_eval_batch_stay_float32(self, monkeypatch):
+        outputs, vjps = [], []
+
+        def hooked(node):
+            def recording(data, parents, backward_fn):
+                def backward(g):
+                    grads = backward_fn(g)
+                    vjps.extend(np.asarray(v).dtype for v in grads
+                                if v is not None)
+                    return grads
+
+                outputs.append(np.asarray(data).dtype)
+                return node(data, parents, backward)
+
+            return recording
+
+        for module in (autodiff, layers, satse):
+            monkeypatch.setattr(module, "_node", hooked(module._node))
+        steps = []
+
+        def adam_spy(params, grads, state, lr, **kwargs):
+            steps.append((dict(grads), state))
+            adam_step(params, grads, state, lr, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", adam_spy)
+        ds = toy_dataset()
+        model = build_model(tiny_config(precision="real32"), seed=0)
+        train(model, ds, Hyperparams(epochs=1, batch_size=32, lr_drop_epoch=1))
+        assert len(steps) == 1 and len(vjps) > len(outputs) > 20
+        (grads, state), = steps
+        params = model.trainable_parameters()
+        assert grads.keys() == state.m.keys() == state.v.keys() == params.keys()
+        for arrays in (grads, state.m, state.v):
+            assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+        n_train = len(outputs)
+        predict(model, ds.records_in("test"), batch_size=32)
+        assert len(outputs) > n_train
+        assert set(outputs) == set(vjps) == {np.dtype(np.float32)}
 
 
 class TestMetrics:
