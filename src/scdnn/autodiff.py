@@ -41,9 +41,6 @@ __all__ = [
     "reduce_sum",
 ]
 
-_REAL_DTYPES = (np.float32, np.float64)
-_COMPLEX_DTYPES = (np.complex64, np.complex128)
-
 
 class ShapeError(ValueError):
     """Raised when incompatible shapes reach an operation."""

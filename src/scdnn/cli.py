@@ -14,13 +14,29 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .autodiff import Tensor, grad_check
-from .data import pad_to_max, read_ecgb, stratified_split, synth_generate, write_ecgb
-from .model import ModelConfig, build_model, load_model, save_model, tiny_config
+from .data import (
+    SPLIT_NAMES,
+    pad_to_max,
+    read_ecgb,
+    stratified_split,
+    synth_generate,
+    write_ecgb,
+)
+from .model import (
+    BACKBONES,
+    PRECISIONS,
+    ModelConfig,
+    build_model,
+    load_model,
+    save_model,
+    tiny_config,
+)
+from .satse import MASK_INDEX_MODES
 from .training import (
     ABLATION_AXES,
     Hyperparams,
@@ -83,85 +99,83 @@ def _split_hash(dataset):
 # -- shared argument groups ------------------------------------------------
 
 
+def _int_tuple(text):
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of integers") from None
+
+
+def _first_blocks(text):
+    """--satse-blocks N: the first N of the four spectral blocks enabled."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if not 0 <= count <= 4:
+        raise argparse.ArgumentTypeError(f"{text!r} is not one of 0-4")
+    return tuple(i < count for i in range(4))
+
+
+# Each model and hyperparameter flag's dest is the field it sets.
 def _add_hyper_args(p):
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--wd", type=float, default=None, help="weight decay")
-    p.add_argument("--lr-drop-epoch", type=int, default=None)
-    p.add_argument("--lr-drop-factor", type=float, default=None)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--wd", dest="weight_decay", type=float,
+                   help="weight decay")
+    p.add_argument("--lr-drop-epoch", type=int)
+    p.add_argument("--lr-drop-factor", type=float)
     p.add_argument("--seed", type=int, default=0)
 
 
 def _add_model_args(p):
     p.add_argument("--config", help="key=value model config file")
-    p.add_argument("--backbone", choices=("resnet18", "resnet34", "resnet50"))
-    p.add_argument("--satse-blocks", type=int, choices=range(5),
+    p.add_argument("--backbone", choices=BACKBONES)
+    p.add_argument("--satse-blocks", dest="satse_blocks_enabled", metavar="N",
+                   type=_first_blocks,
                    help="enable the first N spectral blocks (0-4)")
     p.add_argument("--fixed-phi", type=float,
                    help="freeze the threshold ratio at this value")
     p.add_argument("--phi-init", type=float)
     p.add_argument("--gamma-init", type=float)
-    p.add_argument("--mask-mode", choices=("symmetric", "literal"))
+    p.add_argument("--mask-mode", dest="mask_index_mode",
+                   choices=MASK_INDEX_MODES)
     p.add_argument("--double-softmax", action="store_true", default=None)
-    p.add_argument("--no-stem-maxpool", action="store_true", default=None)
-    p.add_argument("--stage-widths", help="comma list, e.g. 16,32,64,128")
+    p.add_argument("--no-stem-maxpool", dest="stem_maxpool",
+                   action="store_false", default=None)
+    p.add_argument("--stage-widths", type=_int_tuple,
+                   help="comma list, e.g. 16,32,64,128")
     p.add_argument("--input-length", type=int)
-    p.add_argument("--precision", choices=("real32", "real64"))
+    p.add_argument("--precision", choices=PRECISIONS)
+
+
+def _flags_for(args, cls):
+    """The fields of dataclass `cls` that flags set, with their values."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
 
 
 def _hyper_from_args(args):
-    hyper = Hyperparams(seed=args.seed)
-    overrides = {
-        "epochs": args.epochs,
-        "batch_size": args.batch,
-        "lr": args.lr,
-        "weight_decay": args.wd,
-        "lr_drop_epoch": args.lr_drop_epoch,
-        "lr_drop_factor": args.lr_drop_factor,
-    }
+    values = _flags_for(args, Hyperparams)
     # A short run with no explicit drop epoch keeps the whole run at the
     # base rate instead of tripping the drop-epoch <= epochs invariant.
     if args.epochs is not None and args.lr_drop_epoch is None:
-        overrides["lr_drop_epoch"] = min(hyper.lr_drop_epoch, args.epochs)
-    return replace(hyper, **{k: v for k, v in overrides.items() if v is not None})
+        values["lr_drop_epoch"] = min(Hyperparams.lr_drop_epoch, args.epochs)
+    return Hyperparams(**values)
 
 
 def _config_from_args(args, n_classes, input_length):
+    config = ModelConfig(n_classes=n_classes)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ModelConfig.from_text(fh.read())
-        config = replace(config, n_classes=n_classes)
-    else:
-        config = ModelConfig(n_classes=n_classes)
-    updates = {}
-    if args.backbone:
-        updates["backbone"] = args.backbone
-    if args.satse_blocks is not None:
-        updates["satse_blocks_enabled"] = tuple(
-            i < args.satse_blocks for i in range(4)
-        )
-    if args.fixed_phi is not None:
-        updates["fixed_phi"] = args.fixed_phi
-    if args.phi_init is not None:
-        updates["phi_init"] = args.phi_init
-    if args.gamma_init is not None:
-        updates["gamma_init"] = args.gamma_init
-    if args.mask_mode:
-        updates["mask_index_mode"] = args.mask_mode
-    if args.double_softmax:
-        updates["double_softmax"] = True
-    if args.no_stem_maxpool:
-        updates["stem_maxpool"] = False
-    if args.stage_widths:
-        widths = tuple(int(v) for v in args.stage_widths.split(","))
-        updates["stage_widths"] = widths
-        updates["n_stages"] = len(widths)
-    if args.input_length is not None:
-        updates["input_length"] = args.input_length
-    if args.precision:
-        updates["precision"] = args.precision
-    config = replace(config, **updates) if updates else config
+            config = replace(ModelConfig.from_text(fh.read()),
+                             n_classes=n_classes)
+    updates = _flags_for(args, ModelConfig)
+    if "stage_widths" in updates:
+        updates["n_stages"] = len(updates["stage_widths"])
+    config = replace(config, **updates)
     if config.input_length is None:
         config = replace(config, input_length=input_length)
     return config
@@ -268,8 +282,7 @@ def cmd_eval(args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        kv_path = args.out + ".kv" if not args.out.endswith(".kv") else args.out
-        with open(kv_path, "w", encoding="utf-8") as fh:
+        with open(args.out + ".kv", "w", encoding="utf-8") as fh:
             fh.write(report.to_keyvalues())
     return 0
 
@@ -311,11 +324,10 @@ def gradcheck_loss(model, batch, labels):
 
 
 def cmd_gradcheck(args):
-    widths = tuple(int(v) for v in args.widths.split(","))
     config = tiny_config(
         n_classes=args.classes,
         input_length=args.length,
-        widths=widths,
+        widths=args.widths,
         mask_index_mode=args.mask_mode or "symmetric",
     )
     model = build_model(config, seed=args.seed)
@@ -354,17 +366,8 @@ def cmd_ablate(args):
     hyper = _hyper_from_args(args)
     config = _config_from_args(args, len(dataset.class_names),
                                dataset.max_length)
-    axis = args.axis.replace("-", "_")
-    if axis not in ABLATION_AXES:
-        raise ValueError(f"unknown axis {args.axis!r}")
-    raw = args.values.split(",")
-    if axis == "satse_count":
-        values = [int(v) for v in raw]
-    elif axis == "fixed_phi":
-        values = [float(v) for v in raw]
-    else:
-        values = raw
-    table = run_ablation(config, axis, values, dataset, hyper,
+    table = run_ablation(config, args.axis.replace("-", "_"),
+                         args.values.split(","), dataset, hyper,
                          repeats=args.repeats)
     text = table.to_text()
     print(text)
@@ -407,7 +410,7 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
@@ -418,16 +421,16 @@ def _build_parser():
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--param", default="",
                    help="restrict to parameter names containing this")
-    p.add_argument("--widths", default="4,8")
+    p.add_argument("--widths", type=_int_tuple, default="4,8")
     p.add_argument("--length", type=int, default=64)
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--mask-mode", choices=("symmetric", "literal"))
+    p.add_argument("--mask-mode", choices=MASK_INDEX_MODES)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="sweep one configuration axis")
     p.add_argument("--axis", required=True,
-                   choices=("satse-count", "fixed-phi", "depth"))
+                   choices=[axis.replace("_", "-") for axis in ABLATION_AXES])
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--data", required=True)
     p.add_argument("--repeats", type=int, default=1)

@@ -149,13 +149,17 @@ def write_ecgb(dataset, path):
 
 
 class _Cursor:
-    def __init__(self, data):
+    """Bounds-checked little-endian reads from `data`; `error(offset,
+    message)` makes the exception for a truncated read or non-UTF-8 text."""
+
+    def __init__(self, data, error=EcgbFormatError):
         self.data = data
         self.offset = 0
+        self.error = error
 
     def take(self, n, what):
         if self.offset + n > len(self.data):
-            raise EcgbFormatError(self.offset, f"truncated while reading {what}")
+            raise self.error(self.offset, f"truncated while reading {what}")
         out = self.data[self.offset : self.offset + n]
         self.offset += n
         return out
@@ -174,8 +178,8 @@ class _Cursor:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise EcgbFormatError(self.offset - len(raw),
-                                  f"{what} is not UTF-8") from None
+            raise self.error(self.offset - len(raw),
+                             f"{what} is not UTF-8") from None
 
 
 def read_ecgb(path):

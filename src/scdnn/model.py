@@ -24,11 +24,13 @@ batchnorm running statistics, so a round trip is bitwise.
 
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor
+from .data import _Cursor
 from .layers import (
     BatchNorm1d,
     Conv1d,
@@ -43,6 +45,7 @@ __all__ = [
     "ScdnnModel",
     "ModelIOError",
     "BACKBONES",
+    "PRECISIONS",
     "build_model",
     "save_model",
     "load_model",
@@ -61,6 +64,9 @@ BACKBONES = {
 
 _DEFAULT_WIDTHS = (64, 128, 256, 512)
 
+# config precision -> parameter and activation dtype
+PRECISIONS = {"real64": np.float64, "real32": np.float32}
+
 
 class ModelIOError(IOError):
     """Raised for malformed or truncated model files."""
@@ -70,11 +76,31 @@ _BOOL_TEXT = {"1": True, "True": True, "true": True,
               "0": False, "False": False, "false": False}
 
 
-def _parse_bool(key, text):
-    if text not in _BOOL_TEXT:
-        raise ValueError(f"config key {key}: {text!r} is not a boolean "
-                         f"(expected one of {', '.join(_BOOL_TEXT)})")
-    return _BOOL_TEXT[text]
+def _convert(key, kind, text):
+    if kind is bool:
+        if text not in _BOOL_TEXT:
+            raise ValueError(f"config key {key}: {text!r} is not a boolean "
+                             f"(expected one of {', '.join(_BOOL_TEXT)})")
+        return _BOOL_TEXT[text]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"config key {key}: {text!r} is not "
+                         f"{kind.__name__}") from None
+
+
+def _parse_field(f, text):
+    """Config text to the value type of dataclass field `f`'s annotation:
+    `None` only where it admits None, a tuple as a comma list."""
+    kind = f.type
+    if type(None) in get_args(kind):
+        if text == "None":
+            return None
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        item = get_args(kind)[0]
+        return tuple(_convert(f.name, item, v) for v in text.split(","))
+    return _convert(f.name, kind, text)
 
 
 @dataclass
@@ -88,7 +114,7 @@ class ModelConfig:
     n_classes: int
     n_leads: int = 12
     backbone: str = "resnet18"
-    satse_blocks_enabled: tuple = (True, True, True, True)
+    satse_blocks_enabled: tuple[bool, ...] = (True, True, True, True)
     fixed_phi: float | None = None
     mask_index_mode: str = "symmetric"
     double_softmax: bool = False
@@ -96,7 +122,7 @@ class ModelConfig:
     precision: str = "real64"
     input_length: int | None = None
     n_stages: int = 4
-    stage_widths: tuple | None = None
+    stage_widths: tuple[int, ...] | None = None
     phi_init: float = 0.4
     gamma_init: float = 0.5
     tie_lambdas: bool = False
@@ -121,8 +147,8 @@ class ModelConfig:
             raise ValueError(f"fixed_phi must lie in (0, 1), got {self.fixed_phi}")
         if self.mask_index_mode not in MASK_INDEX_MODES:
             raise ValueError(f"unknown mask_index_mode {self.mask_index_mode!r}")
-        if self.precision not in ("real32", "real64"):
-            raise ValueError(f"precision must be real32 or real64")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
         if not 1 <= self.n_stages <= 4:
             raise ValueError("n_stages must be between 1 and 4")
         if len(self.satse_blocks_enabled) != 4:
@@ -137,7 +163,7 @@ class ModelConfig:
 
     @property
     def dtype(self):
-        return np.float64 if self.precision == "real64" else np.float32
+        return PRECISIONS[self.precision]
 
     def widths(self):
         return (
@@ -157,6 +183,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text):
+        """Parse key=value lines; anything malformed raises ValueError."""
         raw, where = {}, {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
@@ -172,23 +199,10 @@ class ModelConfig:
             raw[k], where[k] = v, lineno
         kwargs = {}
         for f in fields(cls):
-            if f.name not in raw:
-                continue
-            v = raw.pop(f.name)
-            if v == "None":
-                kwargs[f.name] = None
-            elif f.name in ("satse_blocks_enabled",):
-                kwargs[f.name] = tuple(_parse_bool(f.name, x) for x in v.split(","))
-            elif f.name in ("stage_widths",):
-                kwargs[f.name] = tuple(int(x) for x in v.split(","))
-            elif f.name in ("n_classes", "n_leads", "input_length", "n_stages"):
-                kwargs[f.name] = int(v)
-            elif f.name in ("fixed_phi", "phi_init", "gamma_init"):
-                kwargs[f.name] = float(v)
-            elif f.name in ("double_softmax", "stem_maxpool", "tie_lambdas"):
-                kwargs[f.name] = _parse_bool(f.name, v)
-            else:
-                kwargs[f.name] = v
+            if f.name in raw:
+                kwargs[f.name] = _parse_field(f, raw.pop(f.name))
+            elif f.default is MISSING:
+                raise ValueError(f"config key {f.name!r} is missing")
         if raw:
             raise ValueError(f"unknown config keys: {sorted(raw)}")
         return cls(**kwargs)
@@ -499,26 +513,8 @@ def save_model(model, path):
         fh.write(b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n, what):
-        if self.offset + n > len(self.data):
-            raise ModelIOError(
-                f"truncated model file: needed {n} bytes for {what} at "
-                f"offset {self.offset}"
-            )
-        out = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
+def _file_error(offset, message):
+    return ModelIOError(f"{message} at offset {offset}")
 
 
 def _read_entries(r):
@@ -527,15 +523,10 @@ def _read_entries(r):
     trailing bytes."""
     entries = {}
     for _ in range(r.u32("entry count")):
-        name_bytes = r.take(r.u16("name length"), "name")
-        try:
-            name = name_bytes.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ModelIOError(f"entry name at offset "
-                               f"{r.offset - len(name_bytes)} is not UTF-8") from None
+        name = r.text("entry name")
         if name in entries:
             raise ModelIOError(f"repeated entry {name!r} in model file")
-        code, rank = struct.unpack("<BB", r.take(2, "dtype/rank"))
+        code, rank = r.u8("dtype code"), r.u8("rank")
         if code not in _CODE_DTYPES:
             raise ModelIOError(f"unknown dtype code {code} for entry {name!r}")
         if rank > 32:  # numpy 1.x's ndarray limit; numpy 2 allows 64
@@ -567,7 +558,7 @@ def load_model(path):
     they are checked against the built model.
     """
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
+        r = _Cursor(fh.read(), _file_error)
     if r.take(4, "magic") != MODEL_MAGIC:
         raise ModelIOError(f"bad magic: not a model file ({path})")
     version = r.u16("version")

@@ -380,7 +380,8 @@ def evaluate(model, dataset, split="test", batch_size=64):
 
 # -- ablations -----------------------------------------------------------------
 
-ABLATION_AXES = ("satse_count", "fixed_phi", "depth")
+# ablation axis -> the type of its values
+ABLATION_AXES = {"satse_count": int, "fixed_phi": float, "depth": str}
 
 _METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
@@ -416,12 +417,10 @@ class AblationTable:
 
 def _config_for(base_config, axis, value):
     if axis == "satse_count":
-        return base_config.with_satse_count(int(value))
+        return base_config.with_satse_count(value)
     if axis == "fixed_phi":
-        return replace(base_config, fixed_phi=float(value))
-    if axis == "depth":
-        return replace(base_config, backbone=str(value))
-    raise ValueError(f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
+        return replace(base_config, fixed_phi=value)
+    return replace(base_config, backbone=value)
 
 
 def run_ablation(base_config, axis, values, dataset, hyper, repeats=1,
@@ -429,12 +428,16 @@ def run_ablation(base_config, axis, values, dataset, hyper, repeats=1,
     """Train one model per (value, repeat) and tabulate mean +- std metrics.
 
     All values share the same seed sequence: repeat r uses hyper.seed + r,
-    so rows differ only in the configuration under study.
+    so rows differ only in the configuration under study. Values are
+    converted to the axis' type from ABLATION_AXES, so text is accepted.
     """
+    if axis not in ABLATION_AXES:
+        raise ValueError(f"unknown ablation axis {axis!r}; "
+                         f"choose from {list(ABLATION_AXES)}")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     rows = []
-    for value in values:
+    for value in map(ABLATION_AXES[axis], values):
         config = _config_for(base_config, axis, value)
         metrics = {m: [] for m in _METRIC_NAMES}
         param_count = None

@@ -145,6 +145,38 @@ class TestTrain:
         assert model.config.phi_init == 0.3
 
 
+    def test_every_flag_sets_its_field(self, micro_dataset, tmp_path):
+        d = tmp_path / "flags"
+        assert main([
+            "train", "--data", micro_dataset, "--out-dir", str(d),
+            "--epochs", "2", "--batch", "6", "--lr", "0.002", "--wd", "0.001",
+            "--lr-drop-epoch", "1", "--lr-drop-factor", "5", "--seed", "4",
+            "--backbone", "resnet34", "--satse-blocks", "2",
+            "--fixed-phi", "0.3", "--phi-init", "0.35", "--gamma-init", "0.7",
+            "--mask-mode", "literal", "--double-softmax", "--no-stem-maxpool",
+            "--stage-widths", "2,4", "--input-length", "64",
+            "--precision", "real32",
+        ]) == 0
+        manifest = read_manifest(d / "run.manifest")
+        assert {k: v for k, v in manifest.items()
+                if k.startswith(("hyper.", "config."))} == {
+            "hyper.epochs": "2", "hyper.batch_size": "6", "hyper.lr": "0.002",
+            "hyper.weight_decay": "0.001", "hyper.lr_drop_epoch": "1",
+            "hyper.lr_drop_factor": "5.0", "hyper.seed": "4",
+            "hyper.adam_beta1": "0.9", "hyper.adam_beta2": "0.999",
+            "hyper.adam_eps": "1e-08",
+            "config.n_classes": "3", "config.n_leads": "12",
+            "config.backbone": "resnet34",
+            "config.satse_blocks_enabled": "1,1,0,0",
+            "config.fixed_phi": "0.3", "config.mask_index_mode": "literal",
+            "config.double_softmax": "True", "config.stem_maxpool": "False",
+            "config.precision": "real32", "config.input_length": "64",
+            "config.n_stages": "2", "config.stage_widths": "2,4",
+            "config.phi_init": "0.35", "config.gamma_init": "0.7",
+            "config.tie_lambdas": "False",
+        }
+
+
 class TestEval:
     def test_eval_twice_identical(self, micro_dataset, tmp_path, capsys):
         run = tmp_path / "run"
@@ -173,6 +205,22 @@ class TestEval:
                      "--out", str(out)]) == 0
         assert out.exists()
         assert "macro_f1=" in (tmp_path / "metrics.txt.kv").read_text()
+
+    def test_out_ending_in_kv_keeps_both_reports(self, micro_dataset,
+                                                 tmp_path, capsys):
+        run = tmp_path / "run"
+        main(["train", "--data", micro_dataset, "--out-dir", str(run),
+              "--epochs", "1", "--batch", "8", "--stage-widths", "4,8",
+              "--seed", "3"])
+        capsys.readouterr()
+        out = tmp_path / "report.kv"
+        assert main(["eval", "--model", str(run / "model.scdn"),
+                     "--data", micro_dataset, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text + "\n" == capsys.readouterr().out
+        assert "macro f1" in text and "macro_f1=" not in text
+        kv = (tmp_path / "report.kv.kv").read_text()
+        assert kv.startswith("accuracy=") and "macro f1" not in kv
 
 
 class TestGradcheck:

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -113,6 +114,41 @@ class TestConfig:
         with pytest.raises(ValueError,
                            match="'n_classes' repeated on lines 1 and 3"):
             ModelConfig.from_text("n_classes=3\n# comment\n n_classes = 7\n")
+
+    @pytest.mark.parametrize("text, key", [
+        ("n_classes=None", "n_classes"),
+        ("n_classes=3\ngamma_init=None", "gamma_init"),
+        ("n_classes=3\ndouble_softmax=None", "double_softmax"),
+        ("n_classes=3\nsatse_blocks_enabled=None", "satse_blocks_enabled"),
+        ("n_classes=3\nn_stages=2.0", "n_stages"),
+        ("n_classes=3\nstage_widths=4,,8", "stage_widths"),
+        ("phi_init=0.3", "n_classes"),
+    ])
+    def test_bad_or_missing_value_names_its_key(self, text, key):
+        with pytest.raises(ValueError, match=f"config key '?{key}\\b"):
+            ModelConfig.from_text(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_parses_or_raises_value_error_property(self, data):
+        keys = st.sampled_from([f.name for f in fields(ModelConfig)]) | st.text(
+            max_size=6)
+        words = st.sampled_from(["None", "", "0", "1", "true", "False", "nan",
+                                 "-1", "4,8", "1,0,1,1", "resnet34", "literal",
+                                 "real32"])
+        values = (words | st.integers(-3, 2000).map(str)
+                  | st.floats(allow_nan=False).map(repr) | st.text(max_size=8)
+                  | st.lists(words | st.integers(-3, 64).map(str),
+                             min_size=1, max_size=5).map(",".join))
+        lines = st.lists(st.tuples(keys, values).map("=".join)
+                         | st.sampled_from(["# note", "", "n_classes=3"]),
+                         max_size=8)
+        text = "\n".join(data.draw(lines))
+        try:
+            cfg = ModelConfig.from_text(text)
+        except ValueError:
+            return
+        assert ModelConfig.from_text(cfg.to_text()).to_text() == cfg.to_text()
 
 
 class TestBuild:
@@ -372,7 +408,7 @@ class TestPersistence:
         raw[name_at + 1] = 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(ModelIOError,
-                           match=f"entry name at offset {name_at} is not UTF-8"):
+                           match=f"entry name is not UTF-8 at offset {name_at}"):
             load_model(path)
 
     def test_malformed_embedded_boolean_rejected(self, tmp_path):
@@ -512,6 +548,19 @@ class TestPersistence:
         path, _ = self._with_first_entry(
             tmp_path, struct.pack("<BB4I", 0, 4, 0, *(2**32 - 1,) * 3))
         with pytest.raises(ModelIOError, match="which numpy cannot hold"):
+            load_model(path)
+
+    @pytest.mark.parametrize("line", [b"n_classes=3", b"gamma_init=0.5"])
+    def test_embedded_none_rejected(self, tmp_path, line):
+        path = self._saved_with(tmp_path, lambda m: None)
+        raw = path.read_bytes()
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        key = line.split(b"=")[0]
+        cfg = raw[10 : 10 + cfg_len].replace(line, key + b"=None")
+        path.write_bytes(raw[:6] + struct.pack("<I", len(cfg)) + cfg
+                         + raw[10 + cfg_len :])
+        with pytest.raises(ModelIOError, match=f"invalid embedded config: "
+                                               f"config key {key.decode()}:"):
             load_model(path)
 
     def test_embedded_config_that_cannot_build_rejected(self, tmp_path):
