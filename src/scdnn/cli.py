@@ -66,6 +66,8 @@ def write_manifest(path, entries):
 
 
 def read_manifest(path):
+    """The entries of a manifest, values verbatim; a malformed one raises
+    IOError naming the line."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -74,10 +76,20 @@ def read_manifest(path):
     if len(raw) != 4 + n:
         raise IOError(f"manifest {path} has inconsistent length prefix")
     entries = {}
-    for line in raw[4:].decode("utf-8").splitlines():
-        if line:
-            k, v = line.split("=", 1)
-            entries[k] = v
+    for lineno, line in enumerate(raw[4:].split(b"\n"), 1):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise IOError(f"manifest {path} line {lineno} is not UTF-8") from None
+        if not line:
+            continue
+        if "=" not in line:
+            raise IOError(f"manifest {path} line {lineno} is not key=value: "
+                          f"{line!r}")
+        k, v = line.split("=", 1)
+        if k in entries:
+            raise IOError(f"manifest {path} line {lineno} repeats key {k!r}")
+        entries[k] = v
     return entries
 
 
@@ -99,12 +111,26 @@ def _split_hash(dataset):
 # -- shared argument groups ------------------------------------------------
 
 
-def _int_tuple(text):
+def _comma_list(kind):
+    """An argparse type: comma-separated text to a tuple of `kind` values."""
+    def convert(text):
+        try:
+            return tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a comma list of {kind.__name__} values") from None
+    return convert
+
+
+def _class_count(text):
     try:
-        return tuple(int(v) for v in text.split(","))
+        count = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma list of integers") from None
+        count = 0
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at "
+                                         f"least 2")
+    return count
 
 
 def _first_blocks(text):
@@ -145,7 +171,7 @@ def _add_model_args(p):
     p.add_argument("--double-softmax", action="store_true", default=None)
     p.add_argument("--no-stem-maxpool", dest="stem_maxpool",
                    action="store_false", default=None)
-    p.add_argument("--stage-widths", type=_int_tuple,
+    p.add_argument("--stage-widths", type=_comma_list(int),
                    help="comma list, e.g. 16,32,64,128")
     p.add_argument("--input-length", type=int)
     p.add_argument("--precision", choices=PRECISIONS)
@@ -166,18 +192,20 @@ def _hyper_from_args(args):
     return Hyperparams(**values)
 
 
-def _config_from_args(args, n_classes, input_length):
-    config = ModelConfig(n_classes=n_classes)
+def _config_from_args(args, dataset):
+    """The dataset's class and lead counts, then the config file's keys, then
+    the flags; the input length is the dataset's unless either sets it."""
+    counts = {"n_classes": len(dataset.class_names), "n_leads": dataset.n_leads}
+    config = ModelConfig(**counts)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = replace(ModelConfig.from_text(fh.read()),
-                             n_classes=n_classes)
+            config = replace(ModelConfig.from_text(fh.read()), **counts)
     updates = _flags_for(args, ModelConfig)
     if "stage_widths" in updates:
         updates["n_stages"] = len(updates["stage_widths"])
     config = replace(config, **updates)
     if config.input_length is None:
-        config = replace(config, input_length=input_length)
+        config = replace(config, input_length=dataset.max_length)
     return config
 
 
@@ -202,15 +230,10 @@ def _echo_hyper(hyper):
 
 
 def cmd_synth(args):
-    fractions = tuple(float(v) for v in args.fractions.split(","))
-    counts = (
-        [int(v) for v in str(args.n).split(",")]
-        if "," in str(args.n)
-        else int(args.n)
-    )
+    counts = args.n if len(args.n) > 1 else args.n * args.classes
     dataset = synth_generate(counts, args.classes, args.leads, args.length,
                              args.noise, args.seed)
-    dataset = stratified_split(dataset, fractions, args.seed)
+    dataset = stratified_split(dataset, args.fractions, args.seed)
     write_ecgb(dataset, args.out)
     print(f"wrote {len(dataset.records)} records "
           f"({args.classes} classes, {args.leads} leads, length {args.length}) "
@@ -221,8 +244,7 @@ def cmd_synth(args):
 def cmd_train(args):
     dataset = _read_dataset(args.data)
     hyper = _hyper_from_args(args)
-    config = _config_from_args(args, len(dataset.class_names),
-                               dataset.max_length)
+    config = _config_from_args(args, dataset)
     _echo_hyper(hyper)
     print("effective config:")
     for line in config.to_text().strip().splitlines():
@@ -364,8 +386,7 @@ def cmd_gradcheck(args):
 def cmd_ablate(args):
     dataset = _read_dataset(args.data)
     hyper = _hyper_from_args(args)
-    config = _config_from_args(args, len(dataset.class_names),
-                               dataset.max_length)
+    config = _config_from_args(args, dataset)
     table = run_ablation(config, args.axis.replace("-", "_"),
                          args.values.split(","), dataset, hyper,
                          repeats=args.repeats)
@@ -389,16 +410,19 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ECGB dataset")
-    p.add_argument("--n", default="200",
-                   help="records per class (int or comma list)")
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--n", type=_comma_list(int), default="200",
+                   help="records per class: one count, or a comma list with "
+                        "one per class")
+    p.add_argument("--classes", type=_class_count, required=True,
+                   help="number of classes, at least 2")
     p.add_argument("--leads", type=int, default=12)
     p.add_argument("--length", type=int, default=512)
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fractions", default="0.8,0.1,0.1")
+    p.add_argument("--fractions", type=_comma_list(float), default="0.8,0.1,0.1",
+                   help="train,val,test shares")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth, validate=_validate_synth)
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on an ECGB dataset")
     p.add_argument("--data", required=True)
@@ -421,7 +445,7 @@ def _build_parser():
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--param", default="",
                    help="restrict to parameter names containing this")
-    p.add_argument("--widths", type=_int_tuple, default="4,8")
+    p.add_argument("--widths", type=_comma_list(int), default="4,8")
     p.add_argument("--length", type=int, default=64)
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--classes", type=int, default=3)
@@ -441,17 +465,9 @@ def _build_parser():
     return parser
 
 
-def _validate_synth(args, parser):
-    if args.classes < 2:
-        parser.error("--classes must be at least 2")
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    validate = getattr(args, "validate", None)
-    if validate is not None:
-        validate(args, parser)
     try:
         return args.func(args)
     except Exception as exc:  # surface module failures with context

@@ -67,6 +67,19 @@ _DEFAULT_WIDTHS = (64, 128, 256, 512)
 # config precision -> parameter and activation dtype
 PRECISIONS = {"real64": np.float64, "real32": np.float32}
 
+# layer type -> the attributes it registers, as <prefix>.<attribute>, in order
+_LAYER_PARAMS = {
+    Conv1d: ("weight",),
+    BatchNorm1d: ("scale", "shift"),
+    Linear: ("weight", "bias"),
+    SatseBlock: ("phi", "gamma", "weight_re", "weight_im"),
+}
+_LAYER_BUFFERS = {BatchNorm1d: ("running_mean", "running_var")}
+
+# Attributes that weight decay skips: batchnorm affine and the SATSE scalars.
+_DECAY_EXEMPT = frozenset({"scale", "shift", "phi", "gamma", "lambda_low",
+                           "lambda_high"})
+
 
 class ModelIOError(IOError):
     """Raised for malformed or truncated model files."""
@@ -289,7 +302,6 @@ class ScdnnModel:
         if config.input_length is None:
             raise ValueError("config.input_length must be set before building")
         self.config = config
-        self.seed = seed
         dtype = config.dtype
         rng = np.random.default_rng(seed)
         kind, blocks_per_stage = BACKBONES[config.backbone]
@@ -302,12 +314,6 @@ class ScdnnModel:
         length = _conv_out_len(config.input_length, 7, 2, 3)
         if config.stem_maxpool:
             length = _conv_out_len(length, 3, 2, 1)
-
-        shared_low = shared_high = None
-        if config.tie_lambdas and any(config.satse_blocks_enabled[:config.n_stages]):
-            shared_low = Tensor(np.asarray(0.0, dtype), requires_grad=True)
-            shared_high = Tensor(np.asarray(0.0, dtype), requires_grad=True)
-        self._shared_lambdas = (shared_low, shared_high)
 
         self.stages = []
         self.satse = []
@@ -339,12 +345,16 @@ class ScdnnModel:
                         mask_index_mode=config.mask_index_mode,
                         train_phi=config.fixed_phi is None,
                         dtype=dtype,
-                        lambda_low=shared_low,
-                        lambda_high=shared_high,
                     )
                 )
             else:
                 self.satse.append(None)
+
+        if config.tie_lambdas:  # later blocks use the first block's pair
+            built = [sat for sat in self.satse if sat is not None]
+            for sat in built[1:]:
+                sat.lambda_low = built[0].lambda_low
+                sat.lambda_high = built[0].lambda_high
 
         self.head = Linear(2 * c_in, config.n_classes, rng=rng, dtype=dtype)
         self._build_registry()
@@ -354,53 +364,32 @@ class ScdnnModel:
     def _build_registry(self):
         params = {}
         buffers = []
-        decay_exempt = set()
 
-        def add_layer(prefix, layer):
-            if isinstance(layer, Conv1d):
-                params[f"{prefix}.weight"] = layer.weight
-            elif isinstance(layer, BatchNorm1d):
-                params[f"{prefix}.scale"] = layer.scale
-                params[f"{prefix}.shift"] = layer.shift
-                decay_exempt.update({f"{prefix}.scale", f"{prefix}.shift"})
-                buffers.append((f"{prefix}.running_mean", layer, "running_mean"))
-                buffers.append((f"{prefix}.running_var", layer, "running_var"))
-            elif isinstance(layer, Linear):
-                params[f"{prefix}.weight"] = layer.weight
-                params[f"{prefix}.bias"] = layer.bias
+        def add(prefix, layer, attrs=None):
+            for attr in attrs or _LAYER_PARAMS[type(layer)]:
+                params[f"{prefix}.{attr}"] = getattr(layer, attr)
+            for attr in _LAYER_BUFFERS.get(type(layer), ()):
+                buffers.append((f"{prefix}.{attr}", layer, attr))
 
-        add_layer("stem.conv", self.stem_conv)
-        add_layer("stem.bn", self.stem_bn)
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
+        add("stem.conv", self.stem_conv)
+        add("stem.bn", self.stem_bn)
+        for s, (blocks, sat) in enumerate(zip(self.stages, self.satse), 1):
+            for b, block in enumerate(blocks, 1):
                 for lname, layer in block.named_layers().items():
-                    add_layer(f"stage{s + 1}.block{b + 1}.{lname}", layer)
-            sat = self.satse[s]
+                    add(f"stage{s}.block{b}.{lname}", layer)
             if sat is not None:
-                prefix = f"satse{s + 1}"
-                params[f"{prefix}.phi"] = sat.phi
-                params[f"{prefix}.gamma"] = sat.gamma
-                params[f"{prefix}.weight_re"] = sat.weight_re
-                params[f"{prefix}.weight_im"] = sat.weight_im
-                decay_exempt.update({f"{prefix}.phi", f"{prefix}.gamma"})
-        shared_low, shared_high = self._shared_lambdas
-        if shared_low is not None:
-            params["satse.lambda_low"] = shared_low
-            params["satse.lambda_high"] = shared_high
-            decay_exempt.update({"satse.lambda_low", "satse.lambda_high"})
-        else:
-            for s, sat in enumerate(self.satse):
-                if sat is not None:
-                    params[f"satse{s + 1}.lambda_low"] = sat.lambda_low
-                    params[f"satse{s + 1}.lambda_high"] = sat.lambda_high
-                    decay_exempt.update(
-                        {f"satse{s + 1}.lambda_low", f"satse{s + 1}.lambda_high"}
-                    )
-        add_layer("head.fc", self.head)
+                add(f"satse{s}", sat)
+        # Tied blocks share the first block's pair, registered once.
+        tied = self.config.tie_lambdas
+        built = [(s, sat) for s, sat in enumerate(self.satse, 1) if sat is not None]
+        for s, sat in built[:1] if tied else built:
+            add("satse" if tied else f"satse{s}", sat, ("lambda_low", "lambda_high"))
+        add("head.fc", self.head)
 
         self._params = params
         self._buffers = buffers
-        self.weight_decay_exempt = frozenset(decay_exempt)
+        self.weight_decay_exempt = frozenset(
+            name for name in params if name.rsplit(".", 1)[1] in _DECAY_EXEMPT)
 
     def named_parameters(self):
         """All leaf tensors, including frozen ones, keyed by stable names."""
@@ -570,25 +559,17 @@ def load_model(path):
         model = build_model(ModelConfig.from_text(cfg.decode("utf-8")), seed=0)
     except ValueError as exc:
         raise ModelIOError(f"invalid embedded config: {exc}") from exc
-    params = model._params
-    buffers = {name: (obj, attr) for name, obj, attr in model._buffers}
+    targets = dict(_entries(model))
     for name, arr in entries.items():
-        if name in params:
-            target = params[name].data
-        elif name in buffers:
-            target = getattr(*buffers[name])
-        else:
+        if name not in targets:
             raise ModelIOError(f"unexpected entry {name!r} in model file")
-        if arr.shape != target.shape:
+        if arr.shape != targets[name].shape:
             raise ModelIOError(
                 f"entry {name!r} has shape {arr.shape}, model expects "
-                f"{target.shape}"
+                f"{targets[name].shape}"
             )
-        if name in params:
-            params[name].data = arr.astype(target.dtype)
-        else:
-            setattr(*buffers[name], arr.astype(target.dtype))
-    missing = (set(params) | set(buffers)) - set(entries)
+        targets[name][...] = arr  # into the model's own arrays, cast to its dtype
+    missing = set(targets) - set(entries)
     if missing:
         raise ModelIOError(f"model file is missing entries: {sorted(missing)[:5]}")
     return model

@@ -114,13 +114,12 @@ class SatseBlock:
 
     Parameters: scalar cutoff ratio `phi`, scalar slope `gamma`, complex
     per-(channel, bin) weight stored as paired real leaves, and the two
-    branch coefficients `lambda_low` / `lambda_high` (optionally shared
-    tensors passed in by the caller).
+    branch coefficients `lambda_low` / `lambda_high`.
     """
 
     def __init__(self, channels, length, *, phi_init=0.4, gamma_init=0.5,
                  lambda_init=0.0, mask_index_mode="symmetric", train_phi=True,
-                 dtype=np.float64, lambda_low=None, lambda_high=None):
+                 dtype=np.float64):
         if mask_index_mode not in MASK_INDEX_MODES:
             raise ValueError(f"unknown mask index mode {mask_index_mode!r}")
         if not 0.0 < phi_init < 1.0:
@@ -137,16 +136,8 @@ class SatseBlock:
                                 requires_grad=True)
         self.weight_im = Tensor(np.zeros((channels, length), dtype),
                                 requires_grad=True)
-        self.lambda_low = (
-            lambda_low
-            if lambda_low is not None
-            else Tensor(np.asarray(lambda_init, dtype), requires_grad=True)
-        )
-        self.lambda_high = (
-            lambda_high
-            if lambda_high is not None
-            else Tensor(np.asarray(lambda_init, dtype), requires_grad=True)
-        )
+        self.lambda_low = Tensor(np.asarray(lambda_init, dtype), requires_grad=True)
+        self.lambda_high = Tensor(np.asarray(lambda_init, dtype), requires_grad=True)
 
     def forward(self, x, swap_roles=False):
         """Apply the block to a (B, C, L) Tensor; output has the same shape.

@@ -174,6 +174,13 @@ def _keep_freed_memory_in_heap():
     _heap_kept = True
 
 
+def _check_one_length(records, what):
+    lengths = sorted({rec.length for rec in records})
+    if len(lengths) > 1:
+        raise ValueError(f"{what} have mixed lengths ({lengths[0]} to "
+                         f"{lengths[-1]}); pad to max first")
+
+
 def _check_class_count(model, dataset):
     if len(dataset.class_names) != model.config.n_classes:
         raise ValueError(
@@ -196,8 +203,7 @@ def train(model, dataset, hyper, trace_callback=None):
         raise ValueError(f"train split has {len(records)} records; train-mode "
                          f"batch normalization needs at least 2")
     _check_class_count(model, dataset)
-    if len({rec.length for rec in records}) != 1:
-        raise ValueError("train records have mixed lengths; pad to max first")
+    _check_one_length(records, "train records")
     dtype = model.config.dtype
     params = model.trainable_parameters()
     state = AdamState()
@@ -236,15 +242,7 @@ def train(model, dataset, hyper, trace_callback=None):
             model.clamp_satse()
             total += value * len(chosen)
             count += len(chosen)
-        row = TraceRow(
-            epoch=epoch,
-            loss=total / max(count, 1),
-            lr=lr,
-            phi=tuple(s[0] for s in snap),
-            gamma=tuple(s[1] for s in snap),
-            lam_low=tuple(s[2] for s in snap),
-            lam_high=tuple(s[3] for s in snap),
-        )
+        row = TraceRow(epoch, total / max(count, 1), lr, *zip(*snap))
         log.rows.append(row)
         if trace_callback is not None:
             trace_callback(row)
@@ -318,43 +316,38 @@ def metrics_from_confusion(confusion):
     denominator is zero contribute 0 and are flagged.
     """
     confusion = np.asarray(confusion, dtype=np.int64)
-    n = confusion.shape[0]
     total = confusion.sum()
     accuracy = float(np.trace(confusion) / total) if total else 0.0
-    per_class = []
-    zero_div = []
-    for c in range(n):
-        tp = confusion[c, c]
-        fp = confusion[:, c].sum() - tp
-        fn = confusion[c, :].sum() - tp
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        if tp + fp == 0 or tp + fn == 0:
-            zero_div.append(c)
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall else 0.0)
-        per_class.append(
-            ClassMetrics(float(precision), float(recall), float(f1),
-                         int(confusion[c, :].sum()))
-        )
+    tp = np.diag(confusion)
+    predicted, support = confusion.sum(axis=0), confusion.sum(axis=1)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(len(num)), where=den != 0)
+
+    precision, recall = ratio(tp, predicted), ratio(tp, support)
+    f1 = ratio(2 * precision * recall, precision + recall)
     return MetricsReport(
         accuracy=accuracy,
-        macro_precision=float(np.mean([c.precision for c in per_class])),
-        macro_recall=float(np.mean([c.recall for c in per_class])),
-        macro_f1=float(np.mean([c.f1 for c in per_class])),
-        per_class=per_class,
+        macro_precision=float(np.mean(precision)),
+        macro_recall=float(np.mean(recall)),
+        macro_f1=float(np.mean(f1)),
+        per_class=[ClassMetrics(*row) for row in zip(
+            precision.tolist(), recall.tolist(), f1.tolist(), support.tolist())],
         confusion=confusion,
-        zero_division_classes=tuple(zero_div),
+        zero_division_classes=tuple(
+            np.flatnonzero((predicted == 0) | (support == 0)).tolist()),
     )
 
 
 def predict(model, records, batch_size=64):
     """Eval-mode argmax class per record; ties resolve to the lowest index.
 
-    The forward passes run under ``no_grad``, so no graph is recorded.
+    The records must share one length (see ``data.pad_to_max``). The forward
+    passes run under ``no_grad``, so no graph is recorded.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    _check_one_length(records, "records")
     preds = []
     dtype = model.config.dtype
     with no_grad():
@@ -423,9 +416,9 @@ def _config_for(base_config, axis, value):
     return replace(base_config, backbone=value)
 
 
-def run_ablation(base_config, axis, values, dataset, hyper, repeats=1,
-                 eval_split="test"):
-    """Train one model per (value, repeat) and tabulate mean +- std metrics.
+def run_ablation(base_config, axis, values, dataset, hyper, repeats=1):
+    """Train one model per (value, repeat) and tabulate mean +- std test
+    metrics.
 
     All values share the same seed sequence: repeat r uses hyper.seed + r,
     so rows differ only in the configuration under study. Values are
@@ -446,7 +439,7 @@ def run_ablation(base_config, axis, values, dataset, hyper, repeats=1,
             model = build_model(config, seed=run_hyper.seed)
             param_count = model.parameter_count()
             train(model, dataset, run_hyper)
-            report = evaluate(model, dataset, eval_split)
+            report = evaluate(model, dataset, "test")
             for m in _METRIC_NAMES:
                 metrics[m].append(getattr(report, m))
         stats = {

@@ -42,6 +42,29 @@ class TestSynth:
                   "--out", str(tmp_path / "x.ecgb")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--fractions", "0.5,x"), ("--n", "4,x"), ("--n", ""),
+        ("--classes", "x"), ("--classes", "1"),
+    ])
+    def test_malformed_flag_is_argument_error_naming_it(self, tmp_path,
+                                                        capsys, flag, value):
+        args = {"--classes": "3", "--n": "4", "--fractions": "0.5,0.25,0.25"}
+        args[flag] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "x.ecgb"),
+                  *(s for kv in args.items() for s in kv)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, counts", [("5", [5, 5, 5]),
+                                           ("3,4,5", [3, 4, 5])])
+    def test_records_per_class(self, tmp_path, n, counts):
+        out = tmp_path / "d.ecgb"
+        assert main(["synth", "--classes", "3", "--n", n, "--length", "32",
+                     "--fractions", "1,0,0", "--out", str(out)]) == 0
+        labels = [rec.label for rec in read_ecgb(out).records]
+        assert [labels.count(c) for c in range(3)] == counts
+
 
 class TestTrain:
     def test_artifacts_and_manifest(self, micro_dataset, tmp_path, capsys):
@@ -144,6 +167,25 @@ class TestTrain:
         model = load_model(d / "model.scdn")
         assert model.config.phi_init == 0.3
 
+
+    def test_lead_count_comes_from_the_dataset(self, tmp_path, capsys):
+        data = tmp_path / "six.ecgb"
+        assert main(["synth", "--classes", "2", "--n", "8", "--leads", "6",
+                     "--length", "64", "--out", str(data)]) == 0
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_classes=2\nn_leads=12\nstage_widths=2,4\n"
+                       "n_stages=2\n")
+        for extra in ([], ["--config", str(cfg)]):
+            run = tmp_path / f"run{len(extra)}"
+            assert main(["train", "--data", str(data), "--out-dir", str(run),
+                         "--epochs", "1", "--batch", "4",
+                         "--stage-widths", "2,4", *extra]) == 0
+            assert read_manifest(run / "run.manifest")["config.n_leads"] == "6"
+            assert main(["eval", "--model", str(run / "model.scdn"),
+                         "--data", str(data)]) == 0
+        assert main(["ablate", "--axis", "satse-count", "--values", "1",
+                     "--data", str(data), "--epochs", "1", "--batch", "4",
+                     "--stage-widths", "2,4"]) == 0
 
     def test_every_flag_sets_its_field(self, micro_dataset, tmp_path):
         d = tmp_path / "flags"
@@ -295,9 +337,22 @@ class TestAblate:
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.manifest"
-        entries = {"a": "1", "b": "x=y", "seed": "42"}
+        entries = {"a": "1", "b": "x=y", "seed": "42", " c ": "  spaced \r",
+                   "empty": "", "text": "\u00e9\u2028x"}
         write_manifest(path, entries)
         assert read_manifest(path) == entries
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"a=1\nbroken\n", "line 2 is not key=value: 'broken'"),
+        (b"a=1\n\xff=1\n", "line 2 is not UTF-8"),
+        (b"a=1\nb=2\na=3\n", "line 3 repeats key 'a'"),
+    ])
+    def test_malformed_payload_names_the_line(self, tmp_path, payload,
+                                              message):
+        path = tmp_path / "m.manifest"
+        path.write_bytes(len(payload).to_bytes(4, "little") + payload)
+        with pytest.raises(IOError, match=message):
+            read_manifest(path)
 
     def test_length_prefix_validated(self, tmp_path):
         path = tmp_path / "m.manifest"

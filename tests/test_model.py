@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from byte_edits import edited
 from reference_ops import add
 from scdnn.autodiff import ShapeError, Tensor
-from scdnn.layers import cross_entropy, relu
+from scdnn.layers import BatchNorm1d, cross_entropy, relu
 from scdnn.model import (
     BACKBONES,
     ModelConfig,
@@ -207,6 +207,28 @@ class TestBuild:
             assert float(sat.phi.data) == 0.2
         assert "satse1.phi" not in m.trainable_parameters()
 
+    # (config overrides, expected count): tiny_config has 10 batchnorms
+    # (stem, four blocks of two, one projection) and two SATSE blocks.
+    @pytest.mark.parametrize("overrides, count", [
+        ({}, 20 + 2 * 4),
+        ({"tie_lambdas": True}, 20 + 2 * 2 + 2),
+        ({"fixed_phi": 0.2}, 20 + 2 * 4),
+    ])
+    def test_weight_decay_exempt_is_batchnorm_affine_and_satse_scalars(
+            self, overrides, count):
+        m = build_model(tiny_config(**overrides), seed=0)
+        bns = [m.stem_bn] + [layer for blocks in m.stages for block in blocks
+                             for layer in block.named_layers().values()
+                             if isinstance(layer, BatchNorm1d)]
+        scalars = [t for bn in bns for t in (bn.scale, bn.shift)]
+        scalars += [t for sat in m.satse if sat is not None
+                    for t in (sat.phi, sat.gamma, sat.lambda_low,
+                              sat.lambda_high)]
+        expect = {name for name, p in m.named_parameters().items()
+                  if any(p is t for t in scalars)}
+        assert m.weight_decay_exempt == expect
+        assert len(expect) == count
+
     def test_tied_lambdas_share_one_tensor(self):
         m = build_model(tiny_config(tie_lambdas=True), seed=0)
         assert m.satse[0].lambda_low is m.satse[1].lambda_low
@@ -343,6 +365,23 @@ class TestPersistence:
                                           p.data)
         for name, buf in m.named_buffers().items():
             np.testing.assert_array_equal(loaded.named_buffers()[name], buf)
+
+    def test_loaded_arrays_are_writable_and_own_their_memory(self, tmp_path):
+        path = tmp_path / "model.scdn"
+        save_model(build_model(tiny_config(tie_lambdas=True), seed=9), path)
+        raw = path.read_bytes()
+        loaded = load_model(path)
+        arrays = [p.data for p in loaded.named_parameters().values()]
+        arrays += loaded.named_buffers().values()
+        for arr in arrays:
+            assert arr.flags.writeable
+            base = arr
+            while isinstance(base, np.ndarray) and base.base is not None:
+                base = base.base
+            assert isinstance(base, np.ndarray)  # not the file's bytes
+            arr[...] = 7  # writes reach the model, not the file
+        assert path.read_bytes() == raw
+        assert float(loaded.satse[1].lambda_low.data) == 7.0
 
     # SHA-256 of save_model's bytes for two seeded builds. They pin the
     # registry's names and order, the construction order and the initial

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_ops import reduce_mean, sub
 from scdnn import autodiff, layers, satse, training
@@ -332,6 +334,36 @@ class TestMetrics:
         )
         for c, row in zip(rep.per_class, confusion):
             assert c.support == row.sum()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_class_loop(self, data):
+        # The per-class loop the array version replaced, as the reference:
+        # the arithmetic is the same, so every value must be equal.
+        n = data.draw(st.integers(1, 6))
+        confusion = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 9) | st.just(0), min_size=n, max_size=n),
+            min_size=n, max_size=n)), dtype=np.int64)
+        rows, zero_div = [], []
+        for c in range(n):
+            tp = confusion[c, c]
+            pred, true = confusion[:, c].sum(), confusion[c, :].sum()
+            precision = tp / pred if pred else 0.0
+            recall = tp / true if true else 0.0
+            f1 = (2 * precision * recall / (precision + recall)
+                  if precision + recall else 0.0)
+            rows.append((float(precision), float(recall), float(f1), int(true)))
+            if not pred or not true:
+                zero_div.append(c)
+        rep = metrics_from_confusion(confusion)
+        assert [(c.precision, c.recall, c.f1, c.support)
+                for c in rep.per_class] == rows
+        assert all(type(v) in (float, int) for c in rep.per_class
+                   for v in vars(c).values())
+        assert rep.zero_division_classes == tuple(zero_div)
+        assert rep.macro_f1 == float(np.mean([r[2] for r in rows]))
+        assert rep.macro_precision == float(np.mean([r[0] for r in rows]))
+        assert rep.macro_recall == float(np.mean([r[1] for r in rows]))
 
     def test_evaluate_on_memorized_toy(self):
         ds = toy_dataset(n_per_class=8, fractions=(0.5, 0.25, 0.25))

@@ -15,7 +15,7 @@ from scdnn.data import (
     write_ecgb,
 )
 from scdnn.model import build_model, load_model, tiny_config
-from scdnn.training import Hyperparams, evaluate, run_ablation, train
+from scdnn.training import Hyperparams, evaluate, predict, run_ablation, train
 
 
 def toy(seed=0, n=10, length=64):
@@ -138,6 +138,18 @@ class TestMixedLengths:
         model = build_model(tiny_config(n_classes=2), seed=6)
         with pytest.raises(ValueError, match="mixed lengths"):
             train(model, ds, Hyperparams(epochs=1, lr_drop_epoch=1))
+
+    def test_predict_and_evaluate_reject_mixed_lengths(self):
+        ds = self._mixed_dataset()
+        model = build_model(tiny_config(n_classes=2, input_length=64), seed=6)
+        assert {rec.length for rec in ds.records_in("val")} == {48, 64}
+        message = r"records have mixed lengths \(48 to 64\); pad to max first"
+        with pytest.raises(ValueError, match=message):
+            predict(model, ds.records)
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, ds, "val")
+        # the same records padded classify, one prediction each
+        assert len(predict(model, pad_to_max(ds).records)) == 16
 
     def test_cli_pads_automatically(self, tmp_path, capsys):
         ds = self._mixed_dataset()
