@@ -55,7 +55,16 @@ _GRADCHECK_MAX_COMPONENTS = 50_000
 
 
 def write_manifest(path, entries):
-    """Atomically write a u32-length-prefixed UTF-8 key=value document."""
+    """Atomically write a u32-length-prefixed UTF-8 key=value document.
+
+    An entry that `read_manifest` could not read back (a newline in a key or
+    value, or an empty key or one holding "=") raises ValueError naming its
+    key, and nothing is written.
+    """
+    for k, v in entries.items():
+        if not k or "=" in k or "\n" in k or "\n" in str(v):
+            raise ValueError(f"manifest entry {k!r} cannot be written as one "
+                             f"key=value line")
     text = "".join(f"{k}={v}\n" for k, v in entries.items())
     payload = text.encode("utf-8")
     blob = len(payload).to_bytes(4, "little") + payload
@@ -119,18 +128,23 @@ def _comma_list(kind):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a comma list of {kind.__name__} values") from None
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return convert
 
 
-def _class_count(text):
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 2:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at "
-                                         f"least 2")
-    return count
+def _at_least(minimum):
+    """An argparse type: an integer of at least `minimum`."""
+    def convert(text):
+        try:
+            count = int(text)
+        except ValueError:
+            count = minimum - 1
+        if count < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at "
+                                             f"least {minimum}")
+        return count
+    return convert
 
 
 def _first_blocks(text):
@@ -212,6 +226,8 @@ def _config_from_args(args, dataset):
 def _read_dataset(path):
     """Read an ECGB file, padding its records to the longest when lengths differ."""
     dataset = read_ecgb(path)
+    if not dataset.records:
+        raise ValueError(f"{path} holds no records")
     lengths = {rec.length for rec in dataset.records}
     if len(lengths) != 1:
         dataset = pad_to_max(dataset)
@@ -410,12 +426,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ECGB dataset")
-    p.add_argument("--n", type=_comma_list(int), default="200",
+    p.add_argument("--n", type=_comma_list(_at_least(1)), default="200",
                    help="records per class: one count, or a comma list with "
                         "one per class")
-    p.add_argument("--classes", type=_class_count, required=True,
+    p.add_argument("--classes", type=_at_least(2), required=True,
                    help="number of classes, at least 2")
-    p.add_argument("--leads", type=int, default=12)
+    p.add_argument("--leads", type=_at_least(1), default=12)
     p.add_argument("--length", type=int, default=512)
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)

@@ -7,8 +7,11 @@ each one node with a closed-form backward. Convolution is bias-free, since
 each conv feeds a BatchNorm, and is cross-correlation (no kernel flip). It
 runs as one copy into a length-minor (C_in*k, B*L_out) im2col matrix plus
 one GEMM per call; the backward rebuilds that matrix from the input instead
-of keeping it. Convolution and max pooling pad by index ranges, so no
-padded copy of the input is built or kept.
+of keeping it, or, when the input needs no gradient (the stem), forms the
+weight gradient one tap's (C_in, B*L_out) slab at a time. Convolution and
+max pooling pad by index ranges, so no padded copy of the input is built or
+kept, and max pooling keeps its winning taps in the smallest integer type
+that holds them.
 """
 
 import numpy as np
@@ -71,7 +74,9 @@ def conv1d(x, weight, stride=1, padding=0):
     or 0 where that index falls in the padding. Then out = W @ cols. The node
     keeps no `cols`: its backward rebuilds it from x for dW = g @ cols.T,
     writes W.T @ g into it, and scatters that onto a zero gradient of x's
-    shape one tap at a time (col2im).
+    shape one tap at a time (col2im). When x needs no gradient there is no
+    GEMM to reuse `cols` for, so the backward fills one tap's slab of it,
+    (C_in, B*L_out), at a time and forms dW[:, :, t] = g @ slab.T.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"conv1d expects a (B, C, L) input, got {x.data.shape}")
@@ -83,11 +88,15 @@ def conv1d(x, weight, stride=1, padding=0):
         )
     l_out, taps = _window_taps("conv1d", length, kernel, stride, padding)
 
+    def fill(slab, t):  # tap t's (C_in, B, L_out) rows of the im2col matrix
+        j0, j1, src = taps[t]
+        slab[..., :j0] = slab[..., j1:] = 0
+        slab[..., j0:j1] = x.data[:, :, src].transpose(1, 0, 2)
+
     def im2col():
         cols = np.empty((c_in, kernel, b, l_out), x.data.dtype)
-        for t, (j0, j1, src) in enumerate(taps):
-            cols[:, t, :, :j0] = cols[:, t, :, j1:] = 0
-            cols[:, t, :, j0:j1] = x.data[:, :, src].transpose(1, 0, 2)
+        for t in range(kernel):
+            fill(cols[:, t], t)
         return cols.reshape(c_in * kernel, b * l_out)
 
     wflat = weight.data.reshape(c_out, c_in * kernel)
@@ -97,14 +106,19 @@ def conv1d(x, weight, stride=1, padding=0):
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(c_out, b * l_out)
+        if not x.requires_grad:
+            gw = np.empty(weight.data.shape, np.result_type(g2, x.data))
+            slab = np.empty((c_in, b, l_out), x.data.dtype)
+            for t in range(kernel):
+                fill(slab, t)
+                gw[:, :, t] = g2 @ slab.reshape(c_in, b * l_out).T
+            return None, gw
         cols = im2col()
         gw = (g2 @ cols.T).reshape(c_out, c_in, kernel)
-        gx = None
-        if x.requires_grad:
-            gcols = np.matmul(wflat.T, g2, out=cols).reshape(c_in, kernel, b, l_out)
-            gx = np.zeros(x.data.shape, x.data.dtype)
-            for t, (j0, j1, src) in enumerate(taps):
-                gx[:, :, src] += gcols[:, t, :, j0:j1].transpose(1, 0, 2)
+        gcols = np.matmul(wflat.T, g2, out=cols).reshape(c_in, kernel, b, l_out)
+        gx = np.zeros(x.data.shape, x.data.dtype)
+        for t, (j0, j1, src) in enumerate(taps):
+            gx[:, :, src] += gcols[:, t, :, j0:j1].transpose(1, 0, 2)
         return gx, gw
 
     return _node(out, (x, weight), backward)
@@ -259,6 +273,8 @@ def max_pool1d(x, kernel, stride, padding=0):
     """Windowed maximum along the length axis: a running maximum from -inf over
     each strided tap's in-range columns, so padding counts as -inf. Ties and the
     gradient go to the lowest index; padding < kernel keeps inputs in every window.
+    The winning tap of each output is kept in the smallest type that holds
+    kernel - 1 (one byte for kernels up to 256).
     """
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool1d expects a (B, C, L) input, got {x.data.shape}")
@@ -267,7 +283,7 @@ def max_pool1d(x, kernel, stride, padding=0):
     if padding >= kernel:
         raise ShapeError(f"max_pool1d: padding {padding} must be < kernel {kernel}")
     out = np.full((b, c, l_out), -np.inf, x.data.dtype)
-    arg = np.zeros(out.shape, np.intp)
+    arg = np.zeros(out.shape, np.min_scalar_type(kernel - 1))
     for t, (j0, j1, src) in enumerate(taps):
         tap, best = x.data[:, :, src], out[:, :, j0:j1]
         np.copyto(arg[:, :, j0:j1], t, where=tap > best)

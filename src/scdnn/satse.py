@@ -30,8 +30,10 @@ spectrum is all a real transform needs:
 
     out = f + irfft(rfft(f) * H[..., :L // 2 + 1], n=L)
 
-The backward is closed form as well (one rfft and one irfft), with
-dK = sum_b dft(g) * conj(dft(f)) / L for an upstream gradient g.
+The backward is closed form as well, with
+dK = sum_b dft(g) * conj(dft(f)) / L for an upstream gradient g. The node
+keeps no spectrum: the backward recomputes rfft(f) from f, which is on the
+tape already, next to the rfft of g and the irfft of the input gradient.
 
 Bin indexing comes in two flavours. In ``symmetric`` mode (default) the
 mask argument is min(j, L - j), the unsigned frequency of bin j, so masks
@@ -139,13 +141,8 @@ class SatseBlock:
         self.lambda_low = Tensor(np.asarray(lambda_init, dtype), requires_grad=True)
         self.lambda_high = Tensor(np.asarray(lambda_init, dtype), requires_grad=True)
 
-    def forward(self, x, swap_roles=False):
-        """Apply the block to a (B, C, L) Tensor; output has the same shape.
-
-        `swap_roles` exchanges which mask and which lambda feed each branch;
-        the branches only meet in the two-term sum m, and IEEE addition
-        commutes, so the output is unchanged bit for bit.
-        """
+    def forward(self, x):
+        """Apply the block to a (B, C, L) Tensor; output has the same shape."""
         if x.data.ndim != 3:
             raise ShapeError(f"satse expects a (B, C, L) input, got {x.data.shape}")
         _, c, length = x.data.shape
@@ -161,27 +158,25 @@ class SatseBlock:
                   - phi * length)
         high = stable_sigmoid(gamma * offset)
         low = 1.0 - high
-        if swap_roles:
-            gain = lam_high * high + lam_low * low
-        else:
-            gain = lam_low * low + lam_high * high
+        gain = lam_low * low + lam_high * high
         weight = self.weight_re.data + 1j * self.weight_im.data
         kernel = weight * gain
         fold = (kernel[:, :half] + np.conj(kernel[:, -np.arange(half) % length])) / 2
-        spec = np.fft.rfft(x.data, axis=-1)
-        out = x.data + np.fft.irfft(spec * fold, n=length, axis=-1).astype(
-            x.dtype, copy=False)
+        out = x.data + np.fft.irfft(np.fft.rfft(x.data, axis=-1) * fold, n=length,
+                                    axis=-1).astype(x.dtype, copy=False)
 
         def backward(g):
             gspec = np.fft.rfft(g, axis=-1)
+            # dK on the half spectrum, from f's spectrum recomputed here; the
+            # upper bins of a real signal's spectrum are conjugate mirrors of
+            # bins 1 .. (L - 1) // 2.
+            dhalf = (gspec * np.conj(np.fft.rfft(x.data, axis=-1))).sum(axis=0)
+            dhalf /= length
+            dkernel = np.concatenate(
+                [dhalf, np.conj(dhalf[:, 1:length - half + 1][:, ::-1])], axis=-1)
             dx = None
             if x.requires_grad:
                 dx = g + np.fft.irfft(gspec * np.conj(fold), n=length, axis=-1)
-            # dK on the half spectrum; the upper bins of a real signal's
-            # spectrum are conjugate mirrors of bins 1 .. (L - 1) // 2.
-            dhalf = (gspec * np.conj(spec)).sum(axis=0) / length
-            dkernel = np.concatenate(
-                [dhalf, np.conj(dhalf[:, 1:length - half + 1][:, ::-1])], axis=-1)
             dweight = dkernel * gain
             dgain = (dkernel * np.conj(weight)).real.sum(axis=0)
             darg = dgain * (lam_high - lam_low) * high * low

