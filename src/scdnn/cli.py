@@ -29,6 +29,7 @@ from .data import (
 )
 from .model import (
     BACKBONES,
+    MIN_INPUT_LENGTH,
     PRECISIONS,
     ModelConfig,
     build_model,
@@ -41,6 +42,7 @@ from .training import (
     ABLATION_AXES,
     Hyperparams,
     _loss_of,
+    _train_records,
     evaluate,
     run_ablation,
     train,
@@ -133,29 +135,26 @@ def _comma_list(kind):
     return convert
 
 
-def _at_least(minimum):
-    """An argparse type: an integer of at least `minimum`."""
+def _at_least(minimum, kind=int):
+    """An argparse type: a finite `kind` value of at least `minimum`."""
     def convert(text):
         try:
-            count = int(text)
+            value = kind(text)
         except ValueError:
-            count = minimum - 1
-        if count < minimum:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at "
-                                             f"least {minimum}")
-        return count
+            value = minimum - 1
+        if not minimum <= value < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite {kind.__name__} of at least {minimum}")
+        return value
     return convert
 
 
 def _first_blocks(text):
     """--satse-blocks N: the first N of the four spectral blocks enabled."""
     try:
-        count = int(text)
+        return ModelConfig.first_satse_blocks(int(text))
     except ValueError:
-        count = -1
-    if not 0 <= count <= 4:
-        raise argparse.ArgumentTypeError(f"{text!r} is not one of 0-4")
-    return tuple(i < count for i in range(4))
+        raise argparse.ArgumentTypeError(f"{text!r} is not one of 0-4") from None
 
 
 # Each model and hyperparameter flag's dest is the field it sets.
@@ -197,15 +196,6 @@ def _flags_for(args, cls):
             if getattr(args, f.name, None) is not None}
 
 
-def _hyper_from_args(args):
-    values = _flags_for(args, Hyperparams)
-    # A short run with no explicit drop epoch keeps the whole run at the
-    # base rate instead of tripping the drop-epoch <= epochs invariant.
-    if args.epochs is not None and args.lr_drop_epoch is None:
-        values["lr_drop_epoch"] = min(Hyperparams.lr_drop_epoch, args.epochs)
-    return Hyperparams(**values)
-
-
 def _config_from_args(args, dataset):
     """The dataset's class and lead counts, then the config file's keys, then
     the flags; the input length is the dataset's unless either sets it."""
@@ -236,12 +226,6 @@ def _read_dataset(path):
     return dataset
 
 
-def _echo_hyper(hyper):
-    print("effective hyperparameters:")
-    for k, v in vars(hyper).items():
-        print(f"  {k}={v}")
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -259,9 +243,12 @@ def cmd_synth(args):
 
 def cmd_train(args):
     dataset = _read_dataset(args.data)
-    hyper = _hyper_from_args(args)
+    _train_records(dataset, "val")
+    hyper = Hyperparams(**_flags_for(args, Hyperparams))
     config = _config_from_args(args, dataset)
-    _echo_hyper(hyper)
+    print("effective hyperparameters:")
+    for k, v in vars(hyper).items():
+        print(f"  {k}={v}")
     print("effective config:")
     for line in config.to_text().strip().splitlines():
         print(f"  {line}")
@@ -372,15 +359,12 @@ def cmd_gradcheck(args):
     params = {k: v for k, v in model.trainable_parameters().items()
               if args.param in k}
     if not params:
-        print(f"error: no parameter name contains {args.param!r}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"no parameter name contains {args.param!r}")
     n_comp = sum(p.data.size for p in params.values())
     if n_comp > _GRADCHECK_MAX_COMPONENTS:
-        print(f"error: configuration has {n_comp} parameter components; "
-              f"gradient checking is limited to {_GRADCHECK_MAX_COMPONENTS} "
-              f"to bound runtime", file=sys.stderr)
-        return 1
+        raise ValueError(f"configuration has {n_comp} parameter components; "
+                         f"gradient checking is limited to "
+                         f"{_GRADCHECK_MAX_COMPONENTS} to bound runtime")
     _randomize_for_gradcheck(model, args.seed)
     rng = np.random.default_rng([args.seed, 3])
     batch = rng.normal(size=(args.batch, config.n_leads, args.length))
@@ -401,7 +385,7 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     dataset = _read_dataset(args.data)
-    hyper = _hyper_from_args(args)
+    hyper = Hyperparams(**_flags_for(args, Hyperparams))
     config = _config_from_args(args, dataset)
     table = run_ablation(config, args.axis.replace("-", "_"),
                          args.values.split(","), dataset, hyper,
@@ -432,8 +416,8 @@ def _build_parser():
     p.add_argument("--classes", type=_at_least(2), required=True,
                    help="number of classes, at least 2")
     p.add_argument("--leads", type=_at_least(1), default=12)
-    p.add_argument("--length", type=int, default=512)
-    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--length", type=_at_least(MIN_INPUT_LENGTH), default=512)
+    p.add_argument("--noise", type=_at_least(0.0, float), default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fractions", type=_comma_list(float), default="0.8,0.1,0.1",
                    help="train,val,test shares")
@@ -462,9 +446,9 @@ def _build_parser():
     p.add_argument("--param", default="",
                    help="restrict to parameter names containing this")
     p.add_argument("--widths", type=_comma_list(int), default="4,8")
-    p.add_argument("--length", type=int, default=64)
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--length", type=_at_least(MIN_INPUT_LENGTH), default=64)
+    p.add_argument("--batch", type=_at_least(2), default=2)
+    p.add_argument("--classes", type=_at_least(2), default=3)
     p.add_argument("--mask-mode", choices=MASK_INDEX_MODES)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -64,7 +64,6 @@ class EcgRecord:
     leads: np.ndarray  # (n_leads, length) float32
     label: int
     record_id: str
-    original_length: int | None = None
 
     def __post_init__(self):
         self.leads = np.asarray(self.leads, dtype=np.float32)
@@ -73,8 +72,6 @@ class EcgRecord:
                              f"{self.leads.shape}")
         if not np.all(np.isfinite(self.leads)):
             raise ValueError(f"record {self.record_id!r}: non-finite samples")
-        if self.original_length is None:
-            self.original_length = self.leads.shape[1]
 
     @property
     def length(self):
@@ -230,10 +227,7 @@ def pad_to_max(dataset):
             continue
         leads = np.zeros((dataset.n_leads, target), dtype=np.float32)
         leads[:, : rec.length] = rec.leads
-        records.append(
-            EcgRecord(leads, rec.label, rec.record_id,
-                      original_length=rec.original_length)
-        )
+        records.append(EcgRecord(leads, rec.label, rec.record_id))
     return EcgDataset(records, list(dataset.class_names), dataset.n_leads,
                       dict(dataset.splits))
 

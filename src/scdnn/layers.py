@@ -127,9 +127,8 @@ def conv1d(x, weight, stride=1, padding=0):
 class Conv1d:
     """Bias-free 1-D convolution layer with fan-in-scaled uniform init."""
 
-    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, rng=None,
+    def __init__(self, c_in, c_out, kernel, stride=1, padding=0, *, rng,
                  dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
         self.weight = Tensor(
             fan_in_uniform(rng, (c_out, c_in, kernel), c_in * kernel, dtype),
             requires_grad=True,
@@ -257,8 +256,7 @@ def linear(x, weight, bias):
 
 
 class Linear:
-    def __init__(self, n_in, n_out, rng=None, dtype=np.float64):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, n_in, n_out, *, rng, dtype=np.float64):
         self.weight = Tensor(
             fan_in_uniform(rng, (n_out, n_in), n_in, dtype), requires_grad=True
         )

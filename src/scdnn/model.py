@@ -38,13 +38,14 @@ from .layers import (
     max_pool1d,
     pooled_features,
 )
-from .satse import MASK_INDEX_MODES, SatseBlock
+from .satse import GAMMA_MIN, MASK_INDEX_MODES, SatseBlock
 
 __all__ = [
     "ModelConfig",
     "ScdnnModel",
     "ModelIOError",
     "BACKBONES",
+    "MIN_INPUT_LENGTH",
     "PRECISIONS",
     "build_model",
     "save_model",
@@ -63,6 +64,7 @@ BACKBONES = {
 }
 
 _DEFAULT_WIDTHS = (64, 128, 256, 512)
+MIN_INPUT_LENGTH = 8
 
 # config precision -> parameter and activation dtype
 PRECISIONS = {"real64": np.float64, "real32": np.float32}
@@ -156,8 +158,12 @@ class ModelConfig:
                 f"unsupported backbone {self.backbone!r}; "
                 f"choose from {sorted(BACKBONES)}"
             )
-        if self.fixed_phi is not None and not 0.0 < self.fixed_phi < 1.0:
-            raise ValueError(f"fixed_phi must lie in (0, 1), got {self.fixed_phi}")
+        if not 0.0 < self.initial_phi < 1.0:
+            key = "phi_init" if self.fixed_phi is None else "fixed_phi"
+            raise ValueError(f"{key} must lie in (0, 1), got {self.initial_phi}")
+        if not self.gamma_init >= GAMMA_MIN:
+            raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
+                             f"{self.gamma_init}")
         if self.mask_index_mode not in MASK_INDEX_MODES:
             raise ValueError(f"unknown mask_index_mode {self.mask_index_mode!r}")
         if self.precision not in PRECISIONS:
@@ -171,19 +177,20 @@ class ModelConfig:
         if self.stage_widths is not None and min(self.stage_widths) < 1:
             raise ValueError(f"stage widths must be at least 1, got "
                              f"{self.stage_widths}")
-        if self.input_length is not None and self.input_length < 8:
-            raise ValueError("input_length must be at least 8")
+        if self.input_length is not None and self.input_length < MIN_INPUT_LENGTH:
+            raise ValueError(f"input_length must be at least {MIN_INPUT_LENGTH}")
+
+    @property
+    def initial_phi(self):
+        """The threshold ratio every SATSE block starts from."""
+        return self.phi_init if self.fixed_phi is None else self.fixed_phi
 
     @property
     def dtype(self):
         return PRECISIONS[self.precision]
 
     def widths(self):
-        return (
-            self.stage_widths
-            if self.stage_widths is not None
-            else _DEFAULT_WIDTHS[: self.n_stages]
-        )
+        return self.stage_widths or _DEFAULT_WIDTHS[: self.n_stages]
 
     def to_text(self):
         lines = []
@@ -220,11 +227,16 @@ class ModelConfig:
             raise ValueError(f"unknown config keys: {sorted(raw)}")
         return cls(**kwargs)
 
+    @staticmethod
+    def first_satse_blocks(count):
+        """`satse_blocks_enabled` with the first `count` of the four blocks on."""
+        if not 0 <= count <= 4:
+            raise ValueError(f"satse block count must be 0..4, got {count}")
+        return tuple(i < count for i in range(4))
+
     def with_satse_count(self, count):
         """Enable the first `count` blocks, front stages first."""
-        if not 0 <= count <= 4:
-            raise ValueError("satse block count must be 0..4")
-        return replace(self, satse_blocks_enabled=tuple(i < count for i in range(4)))
+        return replace(self, satse_blocks_enabled=self.first_satse_blocks(count))
 
 
 def tiny_config(n_classes=3, n_leads=12, input_length=64, widths=(4, 8),
@@ -326,12 +338,7 @@ class ScdnnModel:
                 blocks.append(_ResidualBlock(kind, c_in, widths[s],
                                              stride if b == 0 else 1, rng, dtype))
                 c_in = blocks[-1].c_out
-            length = _conv_out_len(length, 3, stride, 1) if stride == 2 else length
-            if length < 1:
-                raise ValueError(
-                    f"input_length {config.input_length} is too short for "
-                    f"{config.n_stages} stages"
-                )
+            length = _conv_out_len(length, 3, stride, 1)
             self.stages.append(blocks)
             self.stage_shapes.append((c_in, length))
             if config.satse_blocks_enabled[s]:
@@ -339,8 +346,7 @@ class ScdnnModel:
                     SatseBlock(
                         c_in,
                         length,
-                        phi_init=(config.fixed_phi if config.fixed_phi is not None
-                                  else config.phi_init),
+                        phi_init=config.initial_phi,
                         gamma_init=config.gamma_init,
                         mask_index_mode=config.mask_index_mode,
                         train_phi=config.fixed_phi is None,
@@ -450,9 +456,8 @@ class ScdnnModel:
         for s in range(4):
             sat = self.satse[s] if s < len(self.satse) else None
             if sat is None:
-                phi = (self.config.fixed_phi if self.config.fixed_phi is not None
-                       else self.config.phi_init)
-                rows.append((phi, self.config.gamma_init, 0.0, 0.0))
+                rows.append((self.config.initial_phi, self.config.gamma_init,
+                             0.0, 0.0))
             else:
                 r = sat.report()
                 rows.append((r["phi"], r["gamma"], r["lambda_low"],

@@ -69,12 +69,13 @@ class Hyperparams:
             raise ValueError("lr, lr_drop_factor and adam_eps must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if not 0 <= self.lr_drop_epoch <= self.epochs:
-            raise ValueError("lr_drop_epoch must lie within the epoch range")
+        if self.lr_drop_epoch < 0:
+            raise ValueError("lr_drop_epoch must be non-negative")
 
 
 def lr_at_epoch(hyper, epoch):
-    """Base rate until lr_drop_epoch, divided by the drop factor afterwards."""
+    """Base rate until lr_drop_epoch, divided by the drop factor afterwards;
+    a run that ends before lr_drop_epoch never drops the rate."""
     if epoch >= hyper.lr_drop_epoch:
         return hyper.lr / hyper.lr_drop_factor
     return hyper.lr
@@ -181,6 +182,24 @@ def _check_one_length(records, what):
                          f"{lengths[-1]}); pad to max first")
 
 
+def _split_records(dataset, split, fewest=1):
+    """The records of `split`; fewer than `fewest` raises ValueError."""
+    records = dataset.records_in(split)
+    if len(records) < fewest:
+        state = "too small" if records else "empty"
+        raise ValueError(f"split {split!r} is {state}: it has {len(records)} "
+                         f"records, at least {fewest} needed")
+    return records
+
+
+def _train_records(dataset, *eval_splits):
+    """The train split's records, which train-mode batch normalization needs
+    two of, after checking that each of `eval_splits` has one."""
+    for split in eval_splits:
+        _split_records(dataset, split)
+    return _split_records(dataset, "train", 2)
+
+
 def _check_class_count(model, dataset):
     if len(dataset.class_names) != model.config.n_classes:
         raise ValueError(
@@ -198,10 +217,7 @@ def train(model, dataset, hyper, trace_callback=None):
     thresholds, and drops a trailing batch of one sample, which batch
     normalization cannot process.
     """
-    records = dataset.records_in("train")
-    if len(records) < 2:
-        raise ValueError(f"train split has {len(records)} records; train-mode "
-                         f"batch normalization needs at least 2")
+    records = _train_records(dataset)
     _check_class_count(model, dataset)
     _check_one_length(records, "train records")
     dtype = model.config.dtype
@@ -360,9 +376,7 @@ def predict(model, records, batch_size=64):
 
 def evaluate(model, dataset, split="test", batch_size=64):
     _check_class_count(model, dataset)
-    records = dataset.records_in(split)
-    if not records:
-        raise ValueError(f"split {split!r} is empty")
+    records = _split_records(dataset, split)
     preds = predict(model, records, batch_size)
     labels = _batch_labels(records)
     n = model.config.n_classes
@@ -429,9 +443,11 @@ def run_ablation(base_config, axis, values, dataset, hyper, repeats=1):
                          f"choose from {list(ABLATION_AXES)}")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    configs = [(value, _config_for(base_config, axis, value))
+               for value in map(ABLATION_AXES[axis], values)]
+    _train_records(dataset, "test")
     rows = []
-    for value in map(ABLATION_AXES[axis], values):
-        config = _config_for(base_config, axis, value)
+    for value, config in configs:
         metrics = {m: [] for m in _METRIC_NAMES}
         param_count = None
         for r in range(repeats):

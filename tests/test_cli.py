@@ -1,8 +1,13 @@
+import contextlib
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scdnn import training
 from scdnn.cli import main, read_manifest, write_manifest
 from scdnn.data import EcgDataset, read_ecgb, write_ecgb
 from scdnn.model import build_model, load_model, save_model, tiny_config
@@ -45,7 +50,9 @@ class TestSynth:
     @pytest.mark.parametrize("flag, value", [
         ("--fractions", "0.5,x"), ("--n", "4,x"), ("--n", ""),
         ("--classes", "x"), ("--classes", "1"), ("--n", "0"), ("--n", "3,0"),
-        ("--n", "-2"), ("--leads", "0"), ("--leads", "x"),
+        ("--n", "-2"), ("--leads", "0"), ("--leads", "x"), ("--length", "0"),
+        ("--length", "3"), ("--length", "x"), ("--noise", "-1"),
+        ("--noise", "nan"), ("--noise", "inf"), ("--noise", "x"),
     ])
     def test_malformed_flag_is_argument_error_naming_it(self, tmp_path,
                                                         capsys, flag, value):
@@ -119,18 +126,29 @@ class TestTrain:
         assert float(trace[21].split(",")[2]) == 1e-5
 
     def test_rerun_reproduces_artifacts_bitwise(self, micro_dataset, tmp_path):
-        args = lambda d: [
-            "train", "--data", micro_dataset, "--out-dir", d,
-            "--epochs", "2", "--batch", "8", "--stage-widths", "4,8",
-            "--seed", "9",
-        ]
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(args(str(d1))) == 0
-        assert main(args(str(d2))) == 0
-        assert (d1 / "model.scdn").read_bytes() == (d2 / "model.scdn").read_bytes()
-        assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
-        assert (d1 / "metrics_val.kv").read_bytes() == (d2 / "metrics_val.kv").read_bytes()
-        assert (d1 / "metrics_val.txt").read_bytes() == (d2 / "metrics_val.txt").read_bytes()
+        for precision in ("real64", "real32"):
+            args = lambda d: [
+                "train", "--data", micro_dataset, "--out-dir", d,
+                "--epochs", "2", "--batch", "8", "--stage-widths", "4,8",
+                "--seed", "9", "--precision", precision,
+            ]
+            d1, d2 = tmp_path / f"{precision}-1", tmp_path / f"{precision}-2"
+            assert main(args(str(d1))) == 0
+            assert main(args(str(d2))) == 0
+            for name in ("model.scdn", "trace.csv", "metrics_val.kv",
+                         "metrics_val.txt"):
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_run_shorter_than_drop_epoch_keeps_the_base_rate(self, micro_dataset,
+                                                             tmp_path, capsys):
+        d = tmp_path / "short"
+        assert main(["train", "--data", micro_dataset, "--out-dir", str(d),
+                     "--epochs", "2", "--batch", "8", "--stage-widths", "4,8",
+                     "--lr", "0.002"]) == 0
+        assert "  lr_drop_epoch=20\n" in capsys.readouterr().out
+        assert read_manifest(d / "run.manifest")["hyper.lr_drop_epoch"] == "20"
+        rows = (d / "trace.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == [0.002, 0.002]
 
     def test_fixed_phi_constant_in_trace(self, micro_dataset, tmp_path):
         out_dir = tmp_path / "fixed"
@@ -292,6 +310,23 @@ class TestGradcheck:
         rc = main(["gradcheck", "--param", "nonexistent"])
         assert rc == 1
 
+    def test_refusal_is_one_error_line_on_stderr(self, capsys):
+        assert main(["gradcheck", "--param", "nonexistent"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: no parameter name contains 'nonexistent'\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "1"), ("--batch", "0"), ("--classes", "1"),
+        ("--length", "7"), ("--length", "x"),
+    ])
+    def test_malformed_flag_is_argument_error_before_any_work(self, capsys,
+                                                             flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: {value!r}" in err
+
     def test_component_limit_counts_the_selected_parameters(self, capsys):
         # the whole 32,64 model has 63435 components, its two phi scalars 2
         assert main(["gradcheck", "--widths", "32,64", "--param", "phi"]) == 0
@@ -333,6 +368,80 @@ class TestAblate:
         out = capsys.readouterr().out
         for name in ("resnet18", "resnet34", "resnet50"):
             assert name in out
+
+
+def _run_argv(argv):
+    """main(argv) as (exit status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _flag_values(data, flags):
+    """Draw each flag's value, valid or bad; returns argv and the bad flags."""
+    bad = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2),
+                    label="bad flags")
+    argv = []
+    for flag, (valid, invalid) in flags.items():
+        value = data.draw(st.sampled_from(invalid) if flag in bad
+                          else valid.map(str), label=flag)
+        argv.append(f"{flag}={value}")
+    return argv, bad
+
+
+def _check_outcome(rc, err, bad, expect_error):
+    """Exit 2 with a usage line naming a bad flag, exit 1 with one error
+    line, or success."""
+    if bad:
+        assert rc == 2 and err.startswith("usage: scdnn ")
+        named = err.splitlines()[-1].split("argument ", 1)[1].split(":")[0]
+        assert named in bad, err
+    elif expect_error:
+        assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (rc, err) == (0, "")
+
+
+_COUNT_BAD = ["", "x", "nan", "1.5", "-1", "0"]
+
+
+class TestArgvProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_synth_argv(self, tmp_path_factory, data):
+        argv, bad = _flag_values(data, {
+            "--classes": (st.integers(2, 4), _COUNT_BAD + ["1"]),
+            "--n": (st.integers(3, 5), _COUNT_BAD),
+            "--leads": (st.integers(1, 3), _COUNT_BAD),
+            "--length": (st.integers(8, 40), _COUNT_BAD + ["7"]),
+            "--noise": (st.floats(0.0, 1.0),
+                        ["", "x", "nan", "inf", "-inf", "-0.1"]),
+            "--seed": (st.integers(0, 5), ["", "x", "1.5"]),
+        })
+        unwritable = data.draw(st.booleans(), label="unwritable --out")
+        out = tmp_path_factory.mktemp("synth") / ("no/x.ecgb" if unwritable
+                                                  else "x.ecgb")
+        rc, _, err = _run_argv(["synth", *argv, f"--out={out}"])
+        _check_outcome(rc, err, bad, unwritable)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_gradcheck_argv(self, data):
+        argv, bad = _flag_values(data, {
+            "--length": (st.sampled_from([16, 32, 64]), _COUNT_BAD + ["7"]),
+            "--batch": (st.integers(2, 4), _COUNT_BAD + ["1"]),
+            "--classes": (st.integers(2, 4), _COUNT_BAD + ["1"]),
+            "--widths": (st.sampled_from(["2,4", "4"]), ["", "x", "2,x"]),
+            "--seed": (st.integers(0, 5), ["", "x", "1.5"]),
+        })
+        unknown = data.draw(st.booleans(), label="unknown --param")
+        param = "nonexistent" if unknown else "phi"
+        rc, _, err = _run_argv(["gradcheck", *argv, f"--param={param}"])
+        _check_outcome(rc, err, bad, unknown)
 
 
 class TestManifest:
@@ -416,6 +525,53 @@ class TestErrors:
                      ["eval", "--model", str(model)]):
             assert main(args + ["--data", str(empty)]) == 1
             assert f"{empty} holds no records" in capsys.readouterr().err
+
+    def test_empty_split_refused_before_any_work(self, tmp_path, capsys,
+                                                 monkeypatch):
+        data = tmp_path / "train_only.ecgb"
+        assert main(["synth", "--classes", "2", "--n", "4", "--length", "32",
+                     "--fractions", "1,0,0", "--out", str(data)]) == 0
+        out_dir = tmp_path / "o"
+        assert main(["train", "--data", str(data),
+                     "--out-dir", str(out_dir)]) == 1
+        assert "split 'val' is empty" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train", no_training)
+        data = tmp_path / "four.ecgb"
+        assert main(["synth", "--classes", "2", "--n", "4", "--length", "32",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["ablate", "--axis", "satse-count", "--values", "0",
+                     "--data", str(data)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: split 'test' is empty: it has 0 records, at least 1 "
+                "needed\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--phi-init", "2", "phi_init must lie in (0, 1), got 2.0"),
+        ("--fixed-phi", "0", "fixed_phi must lie in (0, 1), got 0.0"),
+        ("--gamma-init", "0", "gamma_init must be at least 0.001, got 0.0"),
+    ])
+    def test_bad_initial_value_refused_before_the_manifest(
+            self, micro_dataset, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "o"
+        assert main(["train", "--data", micro_dataset, "--out-dir",
+                     str(out_dir), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_satse_block_count_out_of_range_is_argument_error(
+            self, micro_dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", micro_dataset, "--out-dir",
+                  str(tmp_path / "o"), "--satse-blocks", "5"])
+        assert exc.value.code == 2
+        assert "argument --satse-blocks: '5' is not one of 0-4" in (
+            capsys.readouterr().err)
 
     def test_batch_of_one_rejected(self, micro_dataset, tmp_path, capsys):
         rc = main(["train", "--data", micro_dataset, "--out-dir",

@@ -203,7 +203,6 @@ class TestPadding:
         ds = pad_to_max(EcgDataset([r1, r2], ["x", "y"], 2))
         assert all(r.length == 5000 for r in ds.records)
         np.testing.assert_array_equal(ds.records[0].leads[:, 3000:], 0.0)
-        assert ds.records[0].original_length == 3000
 
     def test_prefix_preserved_exactly(self):
         rng = np.random.default_rng(2)

@@ -878,6 +878,13 @@ class TestCrossEntropy:
 
 
 class TestLinear:
+    @pytest.mark.parametrize("build", [lambda: Conv1d(3, 4, 3),
+                                       lambda: Linear(4, 3)])
+    def test_rng_is_required(self, build):
+        # a default generator would give two layers the same weights
+        with pytest.raises(TypeError, match="rng"):
+            build()
+
     def test_matches_matmul(self):
         rng = np.random.default_rng(16)
         layer = Linear(4, 3, rng=rng)

@@ -1,6 +1,6 @@
 import hashlib
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from scdnn.autodiff import ShapeError, Tensor
 from scdnn.layers import BatchNorm1d, cross_entropy, relu
 from scdnn.model import (
     BACKBONES,
+    MIN_INPUT_LENGTH,
     ModelConfig,
     ModelIOError,
     _ResidualBlock,
@@ -21,7 +22,8 @@ from scdnn.model import (
     save_model,
     tiny_config,
 )
-from scdnn.satse import MASK_INDEX_MODES
+from scdnn.satse import GAMMA_MIN, MASK_INDEX_MODES
+from scdnn.training import _loss_of
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,41 @@ class TestConfig:
         cfg = ModelConfig(n_classes=2).with_satse_count(2)
         assert cfg.satse_blocks_enabled == (True, True, False, False)
 
+    @pytest.mark.parametrize("count", [-1, 5])
+    def test_satse_count_out_of_range_rejected(self, count):
+        with pytest.raises(ValueError, match=r"satse block count must be 0\.\.4"):
+            ModelConfig(n_classes=2).with_satse_count(count)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"phi_init": 1.0}, r"phi_init must lie in \(0, 1\), got 1.0"),
+        ({"phi_init": 0.0}, "phi_init must lie in"),
+        ({"phi_init": float("nan")}, "phi_init must lie in"),
+        ({"fixed_phi": 1.5}, "fixed_phi must lie in"),
+        ({"fixed_phi": -0.2, "phi_init": 0.3}, "fixed_phi must lie in"),
+        ({"gamma_init": 0.0}, "gamma_init must be at least 0.001, got 0.0"),
+        ({"gamma_init": float("nan")}, "gamma_init must be at least"),
+    ])
+    def test_initial_phi_and_gamma_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(n_classes=2, **kwargs)
+
+    def test_initial_phi_is_the_fixed_phi_when_set(self):
+        assert ModelConfig(n_classes=2, phi_init=0.3).initial_phi == 0.3
+        cfg = ModelConfig(n_classes=2, fixed_phi=0.2, phi_init=7.0)
+        assert cfg.initial_phi == 0.2
+        model = build_model(replace(cfg, input_length=64), seed=0)
+        assert [row[0] for row in model.satse_snapshot()] == [0.2] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(phi=st.floats(), gamma=st.floats(), fixed=st.none() | st.floats())
+    def test_config_that_validates_builds(self, phi, gamma, fixed):
+        try:
+            cfg = tiny_config(widths=(2,), input_length=16, phi_init=phi,
+                              gamma_init=gamma, fixed_phi=fixed)
+        except ValueError:
+            return
+        build_model(cfg, seed=0)
+
     @pytest.mark.parametrize("line", [
         "double_softmax=yes",
         "tie_lambdas=",
@@ -88,7 +125,6 @@ class TestConfig:
     @given(data=st.data())
     def test_text_roundtrip_property(self, data):
         n_stages = data.draw(st.integers(1, 4))
-        finite = st.floats(allow_nan=False, allow_infinity=False)
         cfg = ModelConfig(
             n_classes=data.draw(st.integers(1, 10_000)),
             n_leads=data.draw(st.integers(1, 64)),
@@ -104,8 +140,9 @@ class TestConfig:
             n_stages=n_stages,
             stage_widths=data.draw(st.none() | st.tuples(
                 *[st.integers(1, 1024)] * n_stages)),
-            phi_init=data.draw(finite),
-            gamma_init=data.draw(finite),
+            phi_init=data.draw(st.floats(0.0, 1.0, exclude_min=True,
+                                         exclude_max=True)),
+            gamma_init=data.draw(st.floats(GAMMA_MIN, allow_infinity=False)),
             tie_lambdas=data.draw(st.booleans()),
         )
         assert ModelConfig.from_text(cfg.to_text()) == cfg
@@ -170,6 +207,23 @@ class TestBuild:
             ModelConfig(n_classes=2, input_length=512, stem_maxpool=False), seed=0
         )
         assert [l for _, l in m2.stage_shapes] == [256, 128, 64, 32]
+
+    @pytest.mark.parametrize("stem_maxpool", [True, False])
+    def test_every_length_from_the_smallest_builds_and_runs(self, stem_maxpool):
+        for length in range(MIN_INPUT_LENGTH, 40):
+            cfg = tiny_config(input_length=length, widths=(2, 2, 2, 2),
+                              stem_maxpool=stem_maxpool)
+            model = build_model(cfg, seed=0)
+            expected = (length - 1) // 2 + 1
+            if stem_maxpool:
+                expected = (expected - 1) // 2 + 1
+            for s, (_, got) in enumerate(model.stage_shapes):
+                if s:
+                    expected = (expected - 1) // 2 + 1
+                assert got == expected >= 1
+            # each SATSE block checks that its input has the stage's length
+            logits = model.forward(np.zeros((2, 12, length)), "eval")
+            assert logits.data.shape == (2, 3)
 
     def test_identical_seeds_identical_params(self):
         a = build_model(tiny_config(), seed=4)
@@ -669,3 +723,28 @@ class TestFullModelGradients:
         labels = rng.integers(0, 3, size=2)
         rep = grad_check(gradcheck_loss(m, x, labels), m.trainable_parameters())
         assert rep.passed, rep.worst()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_real32_gradients_match_real64(self, seed):
+        # grad_check needs float64, so the float32 backward is checked
+        # against the float64 one from the same parameters and batch
+        from scdnn.cli import _randomize_for_gradcheck
+
+        cfg = tiny_config(widths=(4, 8, 8, 8), input_length=128)
+        m64 = build_model(cfg, seed=seed)
+        _randomize_for_gradcheck(m64, seed)
+        m32 = build_model(replace(cfg, precision="real32"), seed=seed)
+        params32 = m32.named_parameters()
+        for name, p in m64.named_parameters().items():
+            params32[name].data[...] = p.data
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(4, 12, 128))
+        labels = rng.integers(0, 3, size=4)
+        for m in (m64, m32):
+            _loss_of(m, Tensor(x.astype(m.config.dtype)), labels, "train",
+                     False).backward()
+        for name, p in m64.trainable_parameters().items():
+            g64, g32 = p.grad, params32[name].grad
+            assert g32.dtype == np.float32 and np.linalg.norm(g64) > 0, name
+            rel = np.linalg.norm(g32 - g64) / np.linalg.norm(g64)
+            assert rel < 1e-3, (name, rel)

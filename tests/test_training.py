@@ -47,8 +47,11 @@ class TestHyperparams:
             Hyperparams(epochs=0)
         with pytest.raises(ValueError):
             Hyperparams(lr=-1.0)
-        with pytest.raises(ValueError):
-            Hyperparams(lr_drop_epoch=60, epochs=50)
+        with pytest.raises(ValueError, match="lr_drop_epoch must be non-negative"):
+            Hyperparams(lr_drop_epoch=-1)
+        # a drop epoch past the end of the run never drops the rate
+        h = Hyperparams(lr_drop_epoch=60, epochs=50)
+        assert {lr_at_epoch(h, e) for e in range(h.epochs)} == {h.lr}
 
     @pytest.mark.parametrize("batch_size", [-1, 0, 1])
     def test_batch_below_two_rejected(self, batch_size):
@@ -485,6 +488,23 @@ class TestAblation:
         assert table.rows[0].repeats == 2
         mean, std = table.rows[0].stats["accuracy"]
         assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+    @pytest.mark.parametrize("fractions, axis, values, message", [
+        ((0.5, 0.5, 0.0), "satse_count", [1], "split 'test' is empty"),
+        ((0.5, 0.25, 0.25), "satse_count", [0, 5], "satse block count"),
+        ((0.5, 0.25, 0.25), "fixed_phi", [0.2, 1.5], "fixed_phi must lie"),
+        ((0.5, 0.25, 0.25), "depth", ["resnet18", "x"], "unsupported backbone"),
+    ])
+    def test_refused_before_training(self, monkeypatch, fractions, axis,
+                                     values, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(training, "train", no_training)
+        ds = toy_dataset(n_per_class=6, fractions=fractions)
+        with pytest.raises(ValueError, match=message):
+            run_ablation(tiny_config(), axis, values, ds,
+                         Hyperparams(epochs=1, batch_size=8))
 
     def test_unknown_axis_rejected(self):
         ds = toy_dataset(n_per_class=4)
