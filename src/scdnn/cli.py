@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check
+from .autodiff import _EPSILON_RANGE, Tensor, grad_check
 from .data import (
     SPLIT_NAMES,
     pad_to_max,
@@ -135,16 +135,17 @@ def _comma_list(kind):
     return convert
 
 
-def _at_least(minimum, kind=int):
-    """An argparse type: a finite `kind` value of at least `minimum`."""
+def _at_least(minimum, kind=int, maximum=np.inf):
+    """An argparse type: a finite `kind` value in [`minimum`, `maximum`]."""
     def convert(text):
         try:
             value = kind(text)
         except ValueError:
             value = minimum - 1
-        if not minimum <= value < np.inf:
+        if not (minimum <= value <= maximum and value < np.inf):
             raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite {kind.__name__} of at least {minimum}")
+                f"{text!r} is not a finite {kind.__name__} of at least {minimum}"
+                + ("" if maximum == np.inf else f" and at most {maximum}"))
         return value
     return convert
 
@@ -384,11 +385,15 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
+    axis = args.axis.replace("-", "_")
+    try:
+        values = _comma_list(ABLATION_AXES[axis])(args.values)
+    except argparse.ArgumentTypeError as exc:
+        args.usage_error(f"argument --values: {exc}")
     dataset = _read_dataset(args.data)
     hyper = Hyperparams(**_flags_for(args, Hyperparams))
     config = _config_from_args(args, dataset)
-    table = run_ablation(config, args.axis.replace("-", "_"),
-                         args.values.split(","), dataset, hyper,
+    table = run_ablation(config, axis, values, dataset, hyper,
                          repeats=args.repeats)
     text = table.to_text()
     print(text)
@@ -441,8 +446,9 @@ def _build_parser():
     p = sub.add_parser("gradcheck",
                        help="finite-difference check on a small model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_at_least(0.0, float), default=1e-4)
+    p.add_argument("--epsilon", type=_at_least(_EPSILON_RANGE[0], float,
+                                               _EPSILON_RANGE[1]), default=1e-6)
     p.add_argument("--param", default="",
                    help="restrict to parameter names containing this")
     p.add_argument("--widths", type=_comma_list(int), default="4,8")
@@ -455,13 +461,15 @@ def _build_parser():
     p = sub.add_parser("ablate", help="sweep one configuration axis")
     p.add_argument("--axis", required=True,
                    choices=[axis.replace("_", "-") for axis in ABLATION_AXES])
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True,
+                   help="comma-separated values of the axis's type")
     p.add_argument("--data", required=True)
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_at_least(1), default=1)
     p.add_argument("--out")
     _add_hyper_args(p)
     _add_model_args(p)
-    p.set_defaults(func=cmd_ablate)
+    # --values is converted by --axis's type once both are parsed
+    p.set_defaults(func=cmd_ablate, usage_error=p.error)
     return parser
 
 

@@ -16,7 +16,7 @@ that holds them.
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _node, relu
+from .autodiff import ShapeError, Tensor, _node
 
 __all__ = [
     "Conv1d",
@@ -265,6 +265,12 @@ class Linear:
 
     def forward(self, x):
         return linear(x, self.weight, self.bias)
+
+
+def relu(x):
+    """Elementwise max(x, 0); the model fuses its ReLUs into BatchNorm1d."""
+    mask = x.data > 0
+    return _node(np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def max_pool1d(x, kernel, stride, padding=0):

@@ -46,13 +46,14 @@ inverse transform.
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, _node, stable_sigmoid
+from .autodiff import ShapeError, Tensor, _node
 
 __all__ = [
     "MASK_INDEX_MODES",
     "PHI_MIN",
     "PHI_MAX",
     "GAMMA_MIN",
+    "stable_sigmoid",
     "effective_bins",
     "soft_mask",
     "hard_mask",
@@ -66,6 +67,15 @@ MASK_INDEX_MODES = ("literal", "symmetric")
 PHI_MIN = 1e-3
 PHI_MAX = 1.0 - 1e-3
 GAMMA_MIN = 1e-3
+
+
+def stable_sigmoid(z):
+    """Overflow-safe logistic function, elementwise; exact 0/1 at saturation."""
+    z = np.asarray(z)
+    if z.dtype.kind != "f":
+        z = z.astype(np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _effective(j, length, mode):
@@ -180,13 +190,16 @@ class SatseBlock:
             dweight = dkernel * gain
             dgain = (dkernel * np.conj(weight)).real.sum(axis=0)
             darg = dgain * (lam_high - lam_low) * high * low
-            return (dx, -gamma * length * darg.sum(), (darg * offset).sum(),
-                    dweight.real, dweight.imag, (dgain * low).sum(),
-                    (dgain * high).sum())
+            grads = (dx, -gamma * length * darg.sum(), (darg * offset).sum(),
+                     dweight.real, dweight.imag, (dgain * low).sum(),
+                     (dgain * high).sum())
+            # cast like the output: numpy 1.x transforms float32 in double
+            return tuple(None if d is None else np.asarray(d, p.dtype)
+                         for d, p in zip(grads, parents))
 
-        return _node(out, (x, self.phi, self.gamma, self.weight_re,
-                           self.weight_im, self.lambda_low, self.lambda_high),
-                     backward)
+        parents = (x, self.phi, self.gamma, self.weight_re, self.weight_im,
+                   self.lambda_low, self.lambda_high)
+        return _node(out, parents, backward)
 
     def parameters(self):
         return {

@@ -2,24 +2,96 @@
 
 The model runs on fused nodes with closed-form backward rules (conv1d,
 BatchNorm1d, SatseBlock, pooled_features). The tests still use these
-elementwise, shape and complex ops, and the differentiable transforms
-``dft_t``/``idft_t``, as independent oracles for those nodes and as
-vehicles for the autodiff engine tests. Each op records an ordinary
-``scdnn.autodiff`` node.
+elementwise, reduction, shape and complex ops, and the differentiable
+transforms ``dft_t``/``idft_t``, as independent oracles for those nodes and
+as vehicles for the autodiff engine tests. Each op records an ordinary
+``scdnn.autodiff`` node through ``_node`` here, which fits each gradient to
+its parent: it sums axes that broadcasting added or stretched, drops the
+imaginary part for a real parent, and casts to the parent's dtype. The
+engine itself only checks that a gradient already fits.
 """
 
 import numpy as np
 
-from scdnn.autodiff import (
-    ShapeError,
-    Tensor,
-    _axis_tuple,
-    _is_pynum,
-    _node,
-    _promote,
-    stable_sigmoid,
-)
+from scdnn import autodiff
+from scdnn.autodiff import ShapeError, Tensor
+from scdnn.satse import stable_sigmoid
 from scdnn.spectral import _transform
+
+
+def _fit(g, parent):
+    """`g` summed down to `parent`'s shape and cast to its dtype."""
+    g = np.asarray(g)
+    extra = g.ndim - len(parent.shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(parent.shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    if parent.dtype.kind != "c" and g.dtype.kind == "c":
+        g = g.real
+    return g.astype(parent.dtype, copy=False)
+
+
+def _node(data, parents, backward_fn):
+    """An engine node whose gradients are fitted to their parents."""
+    def backward(g):
+        return tuple(None if d is None else _fit(d, p)
+                     for d, p in zip(backward_fn(g), parents))
+
+    return autodiff._node(data, parents, backward)
+
+
+def _promote(x):
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=np.float64))
+
+
+# Python-number operands stay plain scalars instead of becoming float64
+# leaf tensors: numpy's weak scalar promotion then preserves float32
+# pipelines, and constants never enter the graph.
+def _is_pynum(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _axis_tuple(axis, ndim):
+    if axis is None:
+        return tuple(range(ndim))
+    if isinstance(axis, int):
+        return (axis % ndim,)
+    return tuple(ax % ndim for ax in axis)
+
+
+def mul(a, b):
+    """Elementwise product with broadcasting and Python-number operands;
+    complex factors follow the pairing convention."""
+    if isinstance(a, Tensor) and _is_pynum(b):
+        return _node(a.data * b, (a,), lambda g: (g * b,))
+    if isinstance(b, Tensor) and _is_pynum(a):
+        return _node(b.data * a, (b,), lambda g: (g * a,))
+    a, b = _promote(a), _promote(b)
+
+    def backward(g):
+        ga = np.conj(b.data) * g if a.requires_grad else None
+        gb = np.conj(a.data) * g if b.requires_grad else None
+        return ga, gb
+
+    return _node(a.data * b.data, (a, b), backward)
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    a = _promote(a)
+    axes = _axis_tuple(axis, a.data.ndim)
+    out = a.data.sum(axis=axes, keepdims=keepdims)
+
+    def backward(g):
+        gg = np.asarray(g)
+        if not keepdims:
+            gg = np.expand_dims(gg, axes)
+        return (np.broadcast_to(gg, a.data.shape),)
+
+    return _node(out, (a,), backward)
 
 
 def add(a, b):

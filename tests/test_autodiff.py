@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import weakref
@@ -13,24 +14,17 @@ from reference_ops import (
     imag_part,
     log,
     matmul,
+    mul,
     real_part,
     reduce_mean,
+    reduce_sum,
     reshape,
     sigmoid,
 )
-from scdnn.autodiff import (
-    ShapeError,
-    Tensor,
-    _node,
-    grad_check,
-    mul,
-    no_grad,
-    reduce_sum,
-    relu,
-    stable_sigmoid,
-)
-from scdnn.layers import cross_entropy
+from scdnn.autodiff import ShapeError, Tensor, _node, grad_check, no_grad
+from scdnn.layers import cross_entropy, relu
 from scdnn.model import build_model, tiny_config
+from scdnn.satse import stable_sigmoid
 from scdnn.training import _loss_of
 
 
@@ -166,7 +160,7 @@ class TestGradCheck:
 
             def loss():
                 h = add(matmul(x, w1), b)
-                h = sigmoid(h) * w2
+                h = mul(sigmoid(h), w2)
                 h = add(exp(reduce_mean(h, axis=0)), relu(reduce_sum(h, axis=1)).sum())
                 return reduce_sum(h)
 
@@ -215,7 +209,7 @@ class TestProperties:
         rng = np.random.default_rng(9)
         col = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
         full = rng.normal(size=(3, 4))
-        (col * Tensor(full)).sum().backward()
+        mul(col, Tensor(full)).sum().backward()
         np.testing.assert_allclose(
             col.grad, full.sum(axis=1, keepdims=True), atol=1e-12
         )
@@ -238,6 +232,29 @@ class TestOps:
         x = Tensor(np.arange(6.0), requires_grad=True)
         (reshape(x, (2, 3)) * reshape(x, (2, 3))).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * np.arange(6.0))
+
+
+class TestEngineCheck:
+    @pytest.mark.parametrize("grad, message", [
+        (np.ones((1, 3)), "shape (1, 3) and dtype float64 for a parent of "
+                          "shape (3,) and dtype float64"),
+        (np.ones(3, np.float32), "shape (3,) and dtype float32 for a parent of "
+                                 "shape (3,) and dtype float64"),
+    ])
+    def test_vjp_gradient_must_fit_its_parent(self, grad, message):
+        w = Tensor(np.arange(3.0), requires_grad=True)
+        loss = _node(np.asarray(3.0), (w,), lambda g: (grad,))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            loss.backward()
+        assert w.grad is None
+
+    def test_product_takes_a_tensor_of_one_shape_and_dtype(self):
+        x = Tensor(np.ones(3))
+        for other in (2.0, Tensor(np.ones((1, 3))), Tensor(np.ones(3, np.float32))):
+            with pytest.raises(ShapeError, match=re.escape("Tensor * takes")):
+                x * other
+        with pytest.raises(TypeError):
+            2.0 * x
 
 
 def _recorded(t):
@@ -277,7 +294,7 @@ class TestNoGrad:
         with pytest.raises(ShapeError):
             with no_grad():
                 matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-        assert _recorded(w * 3.0)
+        assert _recorded(mul(w, 3.0))
 
     def test_block_in_one_thread_leaves_others_recording(self):
         w = Tensor(np.asarray(0.5), requires_grad=True)
@@ -349,7 +366,7 @@ class TestRelease:
 
     def test_second_backward_raises_and_keeps_leaf_gradients(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        y = (relu(x * 3) * 2).sum()
+        y = mul(relu(mul(x, 3)), 2).sum()
         y.backward()
         np.testing.assert_array_equal(x.grad, [6.0, 6.0])
         with pytest.raises(RuntimeError, match="already used by a backward"):
@@ -373,7 +390,7 @@ class TestRelease:
         loss.backward()
         params = model.trainable_parameters()
         before = {k: p.grad.copy() for k, p in params.items()}
-        extra = (logits * 2.0).sum()
+        extra = mul(logits, 2.0).sum()
         with pytest.raises(RuntimeError, match="already used by a backward"):
             extra.backward()
         for k, p in params.items():

@@ -25,6 +25,15 @@ def micro_dataset(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def micro_model(micro_dataset, tmp_path_factory):
+    run = tmp_path_factory.mktemp("run")
+    rc = main(["train", "--data", micro_dataset, "--out-dir", str(run),
+               "--epochs", "1", "--batch", "8", "--stage-widths", "4,8"])
+    assert rc == 0
+    return str(run / "model.scdn")
+
+
 class TestSynth:
     def test_record_count(self, tmp_path, capsys):
         out = tmp_path / "d.ecgb"
@@ -317,7 +326,8 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch", "1"), ("--batch", "0"), ("--classes", "1"),
-        ("--length", "7"), ("--length", "x"),
+        ("--length", "7"), ("--length", "x"), ("--tolerance", "nan"),
+        ("--tolerance", "-1"), ("--epsilon", "1e-3"), ("--epsilon", "inf"),
     ])
     def test_malformed_flag_is_argument_error_before_any_work(self, capsys,
                                                              flag, value):
@@ -358,6 +368,18 @@ class TestAblate:
         lines = capsys.readouterr().out.splitlines()
         data_rows = [l for l in lines if l.strip() and l.strip()[0].isdigit()]
         assert len(data_rows) == 5
+
+    @pytest.mark.parametrize("axis, values", [
+        ("satse-count", "x"), ("satse-count", "0,1.5"), ("fixed-phi", "0.2,y"),
+    ])
+    def test_values_of_another_type_are_a_usage_error_before_reading_data(
+            self, tmp_path, capsys, axis, values):
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--axis", axis, "--values", values,
+                  "--data", str(tmp_path / "none.ecgb")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --values: {values!r}" in err
 
     def test_depth_axis_three_rows(self, micro_dataset, capsys):
         rc = main(["ablate", "--axis", "depth",
@@ -442,6 +464,50 @@ class TestArgvProperty:
         param = "nonexistent" if unknown else "phi"
         rc, _, err = _run_argv(["gradcheck", *argv, f"--param={param}"])
         _check_outcome(rc, err, bad, unknown)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_eval_argv(self, micro_model, micro_dataset, tmp_path_factory,
+                       data):
+        argv, bad = _flag_values(data, {
+            "--split": (st.sampled_from(["train", "val", "test"]),
+                        ["", "x", "Test"]),
+        })
+        paths = {"--model": micro_model, "--data": micro_dataset,
+                 "--out": tmp_path_factory.mktemp("eval") / "report.txt"}
+        missing = data.draw(st.sampled_from([None, *sorted(paths)]),
+                            label="missing path")
+        if missing:
+            paths[missing] = tmp_path_factory.mktemp("eval") / "no" / "x"
+        rc, _, err = _run_argv(["eval", *argv,
+                                *(f"{k}={v}" for k, v in paths.items())])
+        _check_outcome(rc, err, bad, missing is not None)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_ablate_argv(self, micro_dataset, tmp_path_factory, data):
+        axis = data.draw(st.sampled_from(sorted(_ABLATION_VALUES)), label="axis")
+        argv, bad = _flag_values(data, {
+            "--axis": (st.just(axis), ["", "x", "satse_count"]),
+            "--values": _ABLATION_VALUES[axis],
+            "--repeats": (st.just(1), _COUNT_BAD),
+            "--epochs": (st.just(1), ["", "x", "1.5"]),
+            "--batch": (st.integers(4, 8), ["", "x", "1.5"]),
+            "--stage-widths": (st.sampled_from(["4,8", "4"]), ["", "x", "4,x"]),
+            "--seed": (st.integers(0, 3), ["", "x", "1.5"]),
+        })
+        missing = data.draw(st.booleans(), label="missing --data")
+        path = (tmp_path_factory.mktemp("ablate") / "none.ecgb" if missing
+                else micro_dataset)
+        rc, _, err = _run_argv(["ablate", *argv, f"--data={path}"])
+        _check_outcome(rc, err, bad, missing)
+
+
+_ABLATION_VALUES = {
+    "satse-count": (st.sampled_from(["0", "1", "1,0"]),
+                    ["", "x", "1.5", "0,x", "0,"]),
+    "fixed-phi": (st.sampled_from(["0.2", "0.3,0.2"]), ["", "x", "0.2,y"]),
+}
 
 
 class TestManifest:
