@@ -2,10 +2,11 @@
 checking, and ablation sweeps.
 
 All configuration arrives through flags or a key=value config file
-(precedence: built-in defaults < config file < flags); no environment
-variables are consulted. Every training run writes a manifest sufficient
-to reproduce it exactly. The manifest records start and finish times;
-`model.scdn`, `trace.csv` and `metrics_val.{kv,txt}` contain no
+(precedence: built-in defaults < config file < flags), except the class
+count, lead count and input length, which come from the dataset; no
+environment variables are consulted. Every training run writes a manifest
+sufficient to reproduce it exactly. The manifest records start and finish
+times; `model.scdn`, `trace.csv` and `metrics_val.{kv,txt}` contain no
 timestamps, so reruns with identical inputs reproduce them byte for byte.
 """
 
@@ -167,7 +168,7 @@ def _add_hyper_args(p):
                    help="weight decay")
     p.add_argument("--lr-drop-epoch", type=int)
     p.add_argument("--lr-drop-factor", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
 
 def _add_model_args(p):
@@ -187,7 +188,6 @@ def _add_model_args(p):
                    action="store_false", default=None)
     p.add_argument("--stage-widths", type=_comma_list(int),
                    help="comma list, e.g. 16,32,64,128")
-    p.add_argument("--input-length", type=int)
     p.add_argument("--precision", choices=PRECISIONS)
 
 
@@ -198,9 +198,10 @@ def _flags_for(args, cls):
 
 
 def _config_from_args(args, dataset):
-    """The dataset's class and lead counts, then the config file's keys, then
-    the flags; the input length is the dataset's unless either sets it."""
-    counts = {"n_classes": len(dataset.class_names), "n_leads": dataset.n_leads}
+    """The config file's keys, then the flags, over defaults; the class and
+    lead counts and the input length are always the dataset's."""
+    counts = {"n_classes": len(dataset.class_names), "n_leads": dataset.n_leads,
+              "input_length": dataset.max_length}
     config = ModelConfig(**counts)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -208,10 +209,7 @@ def _config_from_args(args, dataset):
     updates = _flags_for(args, ModelConfig)
     if "stage_widths" in updates:
         updates["n_stages"] = len(updates["stage_widths"])
-    config = replace(config, **updates)
-    if config.input_length is None:
-        config = replace(config, input_length=dataset.max_length)
-    return config
+    return replace(config, **updates)
 
 
 def _read_dataset(path):
@@ -243,9 +241,9 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
+    hyper = Hyperparams(**_flags_for(args, Hyperparams))
     dataset = _read_dataset(args.data)
     _train_records(dataset, "val")
-    hyper = Hyperparams(**_flags_for(args, Hyperparams))
     config = _config_from_args(args, dataset)
     print("effective hyperparameters:")
     for k, v in vars(hyper).items():
@@ -390,8 +388,8 @@ def cmd_ablate(args):
         values = _comma_list(ABLATION_AXES[axis])(args.values)
     except argparse.ArgumentTypeError as exc:
         args.usage_error(f"argument --values: {exc}")
-    dataset = _read_dataset(args.data)
     hyper = Hyperparams(**_flags_for(args, Hyperparams))
+    dataset = _read_dataset(args.data)
     config = _config_from_args(args, dataset)
     table = run_ablation(config, axis, values, dataset, hyper,
                          repeats=args.repeats)
@@ -423,7 +421,7 @@ def _build_parser():
     p.add_argument("--leads", type=_at_least(1), default=12)
     p.add_argument("--length", type=_at_least(MIN_INPUT_LENGTH), default=512)
     p.add_argument("--noise", type=_at_least(0.0, float), default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--fractions", type=_comma_list(float), default="0.8,0.1,0.1",
                    help="train,val,test shares")
     p.add_argument("--out", required=True)
@@ -445,7 +443,7 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check on a small model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--tolerance", type=_at_least(0.0, float), default=1e-4)
     p.add_argument("--epsilon", type=_at_least(_EPSILON_RANGE[0], float,
                                                _EPSILON_RANGE[1]), default=1e-6)

@@ -169,13 +169,14 @@ class BatchNorm1d:
     xhat = (x - mean) * inv, without building xhat.
     """
 
-    def __init__(self, channels, eps=1e-5, momentum=0.1, dtype=np.float64):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels, dtype=np.float64):
         self.scale = Tensor(np.ones(channels, dtype), requires_grad=True)
         self.shift = Tensor(np.zeros(channels, dtype), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype)
         self.running_var = np.ones(channels, dtype)
-        self.eps = eps
-        self.momentum = momentum
         self.channels = channels
 
     def forward(self, x, mode="train", update_running=None, residual=None,

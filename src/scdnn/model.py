@@ -38,7 +38,7 @@ from .layers import (
     max_pool1d,
     pooled_features,
 )
-from .satse import GAMMA_MIN, MASK_INDEX_MODES, SatseBlock
+from .satse import SatseBlock, _check_settings
 
 __all__ = [
     "ModelConfig",
@@ -158,14 +158,8 @@ class ModelConfig:
                 f"unsupported backbone {self.backbone!r}; "
                 f"choose from {sorted(BACKBONES)}"
             )
-        if not 0.0 < self.initial_phi < 1.0:
-            key = "phi_init" if self.fixed_phi is None else "fixed_phi"
-            raise ValueError(f"{key} must lie in (0, 1), got {self.initial_phi}")
-        if not self.gamma_init >= GAMMA_MIN:
-            raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
-                             f"{self.gamma_init}")
-        if self.mask_index_mode not in MASK_INDEX_MODES:
-            raise ValueError(f"unknown mask_index_mode {self.mask_index_mode!r}")
+        _check_settings(self.initial_phi, self.gamma_init, self.mask_index_mode,
+                        "phi_init" if self.fixed_phi is None else "fixed_phi")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
         if not 1 <= self.n_stages <= 4:
@@ -422,8 +416,6 @@ class ScdnnModel:
                 f"expected input with {self.config.n_leads} leads "
                 f"(B, {self.config.n_leads}, L), got {x.data.shape}"
             )
-        if update_running is None:
-            update_running = mode == "train"
         h = self.stem_bn.forward(self.stem_conv.forward(x), mode,
                                  update_running, None, True)
         if self.config.stem_maxpool:

@@ -78,10 +78,25 @@ def stable_sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _check_settings(phi_init, gamma_init, mask_index_mode, phi_key="phi_init"):
+    """Refuse a starting cutoff ratio outside (0, 1), named `phi_key` in the
+    message, a slope below GAMMA_MIN, or an unknown mask index mode."""
+    if not 0.0 < phi_init < 1.0:
+        raise ValueError(f"{phi_key} must lie in (0, 1), got {phi_init}")
+    if not gamma_init >= GAMMA_MIN:
+        raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
+                         f"{gamma_init}")
+    _check_mode(mask_index_mode)
+
+
+def _check_mode(mode):
+    if mode not in MASK_INDEX_MODES:
+        raise ValueError(f"unknown mask_index_mode {mode!r}")
+
+
 def _effective(j, length, mode):
     """Mask argument of bin(s) j: j in literal mode, min(j, L - j) in symmetric."""
-    if mode not in MASK_INDEX_MODES:
-        raise ValueError(f"unknown mask index mode {mode!r}")
+    _check_mode(mode)
     x = np.asarray(j, dtype=np.float64)
     return np.minimum(x, length - x) if mode == "symmetric" else x
 
@@ -91,6 +106,14 @@ def effective_bins(length, mode="symmetric"):
     return _effective(np.arange(length), length, mode)
 
 
+def _side(high, side):
+    """Mask `high` for side "high", its complement for "low"; a float for one bin."""
+    if side not in ("low", "high"):
+        raise ValueError(f"mask side must be 'low' or 'high', got {side!r}")
+    out = high if side == "high" else 1.0 - high
+    return out if out.ndim else float(out)
+
+
 def soft_mask(j, phi, gamma, length, side, mode="symmetric"):
     """Sigmoid frequency weight in (0, 1) for bin(s) j.
 
@@ -98,27 +121,13 @@ def soft_mask(j, phi, gamma, length, side, mode="symmetric"):
     its exact complement.
     """
     x = _effective(j, length, mode)
-    high = stable_sigmoid(gamma * (x - phi * length))
-    if side == "high":
-        out = high
-    elif side == "low":
-        out = 1.0 - high
-    else:
-        raise ValueError(f"mask side must be 'low' or 'high', got {side!r}")
-    return out if out.ndim else float(out)
+    return _side(stable_sigmoid(gamma * (x - phi * length)), side)
 
 
 def hard_mask(j, phi, length, side, mode="symmetric"):
     """0/1 cutoff at phi * length: the infinite-slope limit of soft_mask."""
     x = _effective(j, length, mode)
-    low = (x <= phi * length).astype(np.float64)
-    if side == "low":
-        out = low
-    elif side == "high":
-        out = 1.0 - low
-    else:
-        raise ValueError(f"mask side must be 'low' or 'high', got {side!r}")
-    return out if out.ndim else float(out)
+    return _side((x > phi * length).astype(np.float64), side)
 
 
 class SatseBlock:
@@ -132,13 +141,7 @@ class SatseBlock:
     def __init__(self, channels, length, *, phi_init=0.4, gamma_init=0.5,
                  lambda_init=0.0, mask_index_mode="symmetric", train_phi=True,
                  dtype=np.float64):
-        if mask_index_mode not in MASK_INDEX_MODES:
-            raise ValueError(f"unknown mask index mode {mask_index_mode!r}")
-        if not 0.0 < phi_init < 1.0:
-            raise ValueError(f"phi_init must lie in (0, 1), got {phi_init}")
-        if not gamma_init >= GAMMA_MIN:
-            raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
-                             f"{gamma_init}")
+        _check_settings(phi_init, gamma_init, mask_index_mode)
         self.channels = channels
         self.length = length
         self.mask_index_mode = mask_index_mode

@@ -10,7 +10,8 @@ so ``idft(dft(x)) == x`` and Parseval reads ``sum |x|^2 == (1/L) sum |X|^2``.
 Lengths are never padded: padding would shift which bin a given frequency
 lands in, and downstream frequency masks are indexed by bin. The transforms
 are ``numpy.fft`` (pocketfft), which is exact at every length without
-padding. They act on plain arrays and record no graph; the SATSE blocks
+padding. A length of 0 raises ValueError. The transforms act on plain
+arrays along their last axis and record no graph; the SATSE blocks
 differentiate their own fused rfft/irfft node (see ``satse``).
 """
 
@@ -19,29 +20,20 @@ import numpy as np
 __all__ = ["dft", "idft"]
 
 
-def _transform(a, sign, axis=-1):
-    """Unnormalized transform along `axis`: forward for sign -1, inverse for +1.
-
-    The explicit cast keeps float32/complex64 input in complex64 on every
-    numpy version (numpy 1.x computes np.fft in double precision).
-    """
-    a = np.asarray(a)
-    if a.shape[axis] == 0:
-        raise ValueError("transform length must be at least 1")
-    out_dtype = np.complex64 if a.dtype in (np.float32, np.complex64) else np.complex128
-    if sign < 0:
-        out = np.fft.fft(a, axis=axis)
-    else:
-        out = np.fft.ifft(a, axis=axis, norm="forward")
-    return out.astype(out_dtype, copy=False)
+def _complex(out, x):
+    """`out` in complex64 for float32 or complex64 `x`, else in complex128:
+    numpy 1.x computes np.fft in double precision."""
+    single = x.dtype in (np.float32, np.complex64)
+    return out.astype(np.complex64 if single else np.complex128, copy=False)
 
 
-def dft(x, axis=-1):
-    """Unnormalized forward transform along `axis` (default: a 1-D signal)."""
-    return _transform(x, -1, axis)
-
-
-def idft(x, axis=-1):
-    """Inverse transform along `axis`, carrying the 1/L normalization."""
+def dft(x):
+    """Unnormalized forward transform along the last axis."""
     x = np.asarray(x)
-    return _transform(x, +1, axis) / x.shape[axis]
+    return _complex(np.fft.fft(x), x)
+
+
+def idft(x):
+    """Inverse transform along the last axis, carrying the 1/L normalization."""
+    x = np.asarray(x)
+    return _complex(np.fft.ifft(x, norm="forward"), x) / x.shape[-1]

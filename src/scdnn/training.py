@@ -60,17 +60,23 @@ class Hyperparams:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2: train-mode "
-                             "batch normalization needs two records")
-        if min(self.lr, self.lr_drop_factor, self.adam_eps) <= 0:
-            raise ValueError("lr, lr_drop_factor and adam_eps must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if self.lr_drop_epoch < 0:
-            raise ValueError("lr_drop_epoch must be non-negative")
+        inf = np.inf
+        rules = (
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size >= 2,
+             "at least 2 (train-mode batch normalization needs two records)"),
+            ("lr", 0 < self.lr < inf, "positive and finite"),
+            ("weight_decay", 0 <= self.weight_decay < inf, "non-negative and finite"),
+            ("lr_drop_epoch", self.lr_drop_epoch >= 0, "non-negative"),
+            ("lr_drop_factor", 0 < self.lr_drop_factor < inf, "positive and finite"),
+            ("seed", self.seed >= 0, "non-negative"),
+            ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
+            ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
+            ("adam_eps", 0 < self.adam_eps < inf, "positive and finite"),
+        )
+        for name, holds, rule in rules:
+            if not holds:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def lr_at_epoch(hyper, epoch):
@@ -175,11 +181,17 @@ def _keep_freed_memory_in_heap():
     _heap_kept = True
 
 
-def _check_one_length(records, what):
+def _check_lengths(model, records, what):
+    """Refuse records of mixed lengths, and, for a model with SATSE blocks
+    (each built for one length), records not of the model's input length."""
     lengths = sorted({rec.length for rec in records})
     if len(lengths) > 1:
         raise ValueError(f"{what} have mixed lengths ({lengths[0]} to "
                          f"{lengths[-1]}); pad to max first")
+    expected = model.config.input_length
+    if lengths and lengths[0] != expected and any(model.satse):
+        raise ValueError(f"{what} have length {lengths[0]}, but the model's "
+                         f"spectral blocks are built for length {expected}")
 
 
 def _split_records(dataset, split, fewest=1):
@@ -219,7 +231,7 @@ def train(model, dataset, hyper, trace_callback=None):
     """
     records = _train_records(dataset)
     _check_class_count(model, dataset)
-    _check_one_length(records, "train records")
+    _check_lengths(model, records, "train records")
     dtype = model.config.dtype
     params = model.trainable_parameters()
     state = AdamState()
@@ -358,12 +370,13 @@ def metrics_from_confusion(confusion):
 def predict(model, records, batch_size=64):
     """Eval-mode argmax class per record; ties resolve to the lowest index.
 
-    The records must share one length (see ``data.pad_to_max``). The forward
-    passes run under ``no_grad``, so no graph is recorded.
+    The records must share one length (see ``data.pad_to_max``), the model's
+    input length if it has SATSE blocks. The forward passes run under
+    ``no_grad``, so no graph is recorded.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    _check_one_length(records, "records")
+    _check_lengths(model, records, "records")
     preds = []
     dtype = model.config.dtype
     with no_grad():

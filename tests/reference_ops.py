@@ -16,7 +16,7 @@ import numpy as np
 from scdnn import autodiff
 from scdnn.autodiff import ShapeError, Tensor
 from scdnn.satse import stable_sigmoid
-from scdnn.spectral import _transform
+from scdnn.spectral import dft, idft
 
 
 def _fit(g, parent):
@@ -229,22 +229,13 @@ def imag_part(z):
 # these symmetric transform matrices is again a transform of the other sign.
 
 
-def dft_t(x, axis=-1):
-    """Differentiable forward transform of a Tensor along `axis`."""
-    out = _transform(x.data, -1, axis)
-
-    def backward(g):
-        return (_transform(g, +1, axis),)
-
-    return _node(out, (x,), backward)
+def dft_t(x):
+    """Differentiable forward transform of a Tensor along its last axis."""
+    length = x.data.shape[-1]
+    return _node(dft(x.data), (x,), lambda g: (idft(g) * length,))
 
 
-def idft_t(x, axis=-1):
+def idft_t(x):
     """Differentiable inverse transform (1/L normalized) of a Tensor."""
-    length = x.data.shape[axis]
-    out = _transform(x.data, +1, axis) / length
-
-    def backward(g):
-        return (_transform(g, -1, axis) / length,)
-
-    return _node(out, (x,), backward)
+    length = x.data.shape[-1]
+    return _node(idft(x.data), (x,), lambda g: (dft(g) / length,))

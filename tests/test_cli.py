@@ -196,6 +196,28 @@ class TestTrain:
         assert model.config.phi_init == 0.3
 
 
+    def test_input_length_comes_from_the_dataset(self, micro_dataset,
+                                                 tmp_path):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_classes=3\nstage_widths=4,8\nn_stages=2\n"
+                       "input_length=100\n")
+        d = tmp_path / "cfgrun"
+        assert main(["train", "--data", micro_dataset, "--out-dir", str(d),
+                     "--epochs", "1", "--batch", "8",
+                     "--config", str(cfg)]) == 0
+        assert read_manifest(d / "run.manifest")["config.input_length"] == "64"
+        assert load_model(d / "model.scdn").config.input_length == 64
+
+    def test_input_length_flag_is_not_accepted(self, micro_dataset, tmp_path,
+                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", micro_dataset, "--out-dir",
+                  str(tmp_path / "o"), "--input-length", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --input-length 64" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_lead_count_comes_from_the_dataset(self, tmp_path, capsys):
         data = tmp_path / "six.ecgb"
         assert main(["synth", "--classes", "2", "--n", "8", "--leads", "6",
@@ -224,8 +246,7 @@ class TestTrain:
             "--backbone", "resnet34", "--satse-blocks", "2",
             "--fixed-phi", "0.3", "--phi-init", "0.35", "--gamma-init", "0.7",
             "--mask-mode", "literal", "--double-softmax", "--no-stem-maxpool",
-            "--stage-widths", "2,4", "--input-length", "64",
-            "--precision", "real32",
+            "--stage-widths", "2,4", "--precision", "real32",
         ]) == 0
         manifest = read_manifest(d / "run.manifest")
         assert {k: v for k, v in manifest.items()
@@ -429,6 +450,7 @@ def _check_outcome(rc, err, bad, expect_error):
 
 
 _COUNT_BAD = ["", "x", "nan", "1.5", "-1", "0"]
+_SEED_BAD = ["", "x", "1.5", "-1"]
 
 
 class TestArgvProperty:
@@ -442,7 +464,7 @@ class TestArgvProperty:
             "--length": (st.integers(8, 40), _COUNT_BAD + ["7"]),
             "--noise": (st.floats(0.0, 1.0),
                         ["", "x", "nan", "inf", "-inf", "-0.1"]),
-            "--seed": (st.integers(0, 5), ["", "x", "1.5"]),
+            "--seed": (st.integers(0, 5), _SEED_BAD),
         })
         unwritable = data.draw(st.booleans(), label="unwritable --out")
         out = tmp_path_factory.mktemp("synth") / ("no/x.ecgb" if unwritable
@@ -458,7 +480,7 @@ class TestArgvProperty:
             "--batch": (st.integers(2, 4), _COUNT_BAD + ["1"]),
             "--classes": (st.integers(2, 4), _COUNT_BAD + ["1"]),
             "--widths": (st.sampled_from(["2,4", "4"]), ["", "x", "2,x"]),
-            "--seed": (st.integers(0, 5), ["", "x", "1.5"]),
+            "--seed": (st.integers(0, 5), _SEED_BAD),
         })
         unknown = data.draw(st.booleans(), label="unknown --param")
         param = "nonexistent" if unknown else "phi"
@@ -483,6 +505,40 @@ class TestArgvProperty:
                                 *(f"{k}={v}" for k, v in paths.items())])
         _check_outcome(rc, err, bad, missing is not None)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_train_argv(self, micro_dataset, tmp_path_factory, data):
+        argv, bad = _flag_values(data, {
+            "--epochs": (st.just(1), ["", "x", "1.5"]),
+            "--batch": (st.integers(4, 8), ["", "x", "1.5"]),
+            "--lr": (st.sampled_from([1e-3, 1e-2]), ["", "x"]),
+            "--wd": (st.sampled_from([0.0, 1e-4]), ["", "x"]),
+            "--lr-drop-epoch": (st.integers(0, 2), ["", "x", "1.5"]),
+            "--seed": (st.integers(0, 3), _SEED_BAD),
+            "--backbone": (st.sampled_from(["resnet18", "resnet34"]),
+                           ["", "x", "ResNet18"]),
+            "--satse-blocks": (st.integers(0, 4), ["", "x", "5", "-1"]),
+            "--stage-widths": (st.sampled_from(["4,8", "4"]), ["", "x", "4,x"]),
+            "--phi-init": (st.sampled_from([0.2, 0.5]), ["", "x"]),
+            "--mask-mode": (st.sampled_from(["literal", "symmetric"]),
+                            ["", "x"]),
+            "--precision": (st.sampled_from(["real32", "real64"]), ["", "x"]),
+        })
+        refused = data.draw(st.sampled_from([None, *sorted(_TRAIN_REFUSED)]),
+                            label="refused flag")
+        if refused:
+            value = data.draw(st.sampled_from(_TRAIN_REFUSED[refused]),
+                              label=f"refused {refused}")
+            argv.append(f"{refused}={value}")
+        missing = data.draw(st.booleans(), label="missing --data")
+        root = tmp_path_factory.mktemp("train")
+        path = root / "none.ecgb" if missing else micro_dataset
+        out = root / "run"
+        rc, _, err = _run_argv(["train", *argv, f"--data={path}",
+                                f"--out-dir={out}"])
+        _check_outcome(rc, err, bad, refused is not None or missing)
+        assert out.exists() == (rc == 0)  # no run directory from a refusal
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_ablate_argv(self, micro_dataset, tmp_path_factory, data):
@@ -494,13 +550,28 @@ class TestArgvProperty:
             "--epochs": (st.just(1), ["", "x", "1.5"]),
             "--batch": (st.integers(4, 8), ["", "x", "1.5"]),
             "--stage-widths": (st.sampled_from(["4,8", "4"]), ["", "x", "4,x"]),
-            "--seed": (st.integers(0, 3), ["", "x", "1.5"]),
+            "--seed": (st.integers(0, 3), _SEED_BAD),
         })
         missing = data.draw(st.booleans(), label="missing --data")
         path = (tmp_path_factory.mktemp("ablate") / "none.ecgb" if missing
                 else micro_dataset)
         rc, _, err = _run_argv(["ablate", *argv, f"--data={path}"])
         _check_outcome(rc, err, bad, missing)
+
+
+# Values that argparse accepts and the run refuses with exit 1.
+_TRAIN_REFUSED = {
+    "--epochs": ["0", "-1"],
+    "--batch": ["1"],
+    "--lr": ["nan", "inf", "0"],
+    "--wd": ["-1", "nan"],
+    "--lr-drop-epoch": ["-1"],
+    "--lr-drop-factor": ["0", "inf", "nan"],
+    "--phi-init": ["0", "1", "nan"],
+    "--gamma-init": ["0", "nan"],
+    "--fixed-phi": ["1.5"],
+    "--stage-widths": ["0,4"],
+}
 
 
 _ABLATION_VALUES = {
@@ -629,6 +700,48 @@ class TestErrors:
                      str(out_dir), flag, value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--classes", "2", "--out", "{tmp}/x.ecgb"],
+        ["train", "--data", "{data}", "--out-dir", "{tmp}/o"],
+        ["ablate", "--axis", "depth", "--values", "resnet18", "--data", "{data}"],
+        ["gradcheck"],
+    ])
+    def test_negative_seed_is_argument_error(self, micro_dataset, tmp_path,
+                                             capsys, command):
+        argv = [a.format(tmp=tmp_path, data=micro_dataset) for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: '-1' is not a finite int of at least 0" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "lr must be positive and finite, got nan"),
+        ("--wd", "inf", "weight_decay must be non-negative and finite, got inf"),
+        ("--lr-drop-factor", "0", "lr_drop_factor must be positive and finite, "
+                                  "got 0.0"),
+    ])
+    def test_bad_hyperparameter_refused_before_the_data_is_read(
+            self, tmp_path, capsys, flag, value, message):
+        missing = str(tmp_path / "none.ecgb")
+        for command in (["train", "--out-dir", str(tmp_path / "o")],
+                        ["ablate", "--axis", "depth", "--values", "resnet18"]):
+            assert main(command + ["--data", missing, flag, value]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_at_another_length_names_both_lengths(self, micro_model,
+                                                       tmp_path, capsys):
+        data = tmp_path / "sixty.ecgb"
+        assert main(["synth", "--classes", "3", "--n", "4", "--length", "60",
+                     "--fractions", "0.5,0.25,0.25", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", micro_model, "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            "error: records have length 60, but the model's spectral blocks "
+            "are built for length 64\n")
 
     def test_satse_block_count_out_of_range_is_argument_error(
             self, micro_dataset, tmp_path, capsys):

@@ -276,7 +276,8 @@ class TestBatchNorm:
         x = rng.normal(size=(8, 3, 50))
         x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2),
                                                              keepdims=True)
-        layer = BatchNorm1d(3, eps=1e-14)
+        layer = BatchNorm1d(3)
+        layer.eps = 1e-14
         out = layer.forward(Tensor(x), "train")
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
@@ -390,7 +391,8 @@ class TestTrainBatchNorm:
     def test_running_stats_follow_numpy_two_pass_update(self):
         rng = np.random.default_rng(20)
         m = 0.3
-        layer = BatchNorm1d(3, momentum=m)
+        layer = BatchNorm1d(3)
+        layer.momentum = m
         layer.running_mean = rng.normal(size=3)
         layer.running_var = rng.uniform(0.5, 2.0, 3)
         for _ in range(3):

@@ -22,7 +22,7 @@ from scdnn.model import (
     save_model,
     tiny_config,
 )
-from scdnn.satse import GAMMA_MIN, MASK_INDEX_MODES
+from scdnn.satse import GAMMA_MIN, MASK_INDEX_MODES, SatseBlock
 from scdnn.training import _loss_of
 
 
@@ -86,6 +86,17 @@ class TestConfig:
     def test_initial_phi_and_gamma_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ModelConfig(n_classes=2, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"phi_init": 1.0}, r"^phi_init must lie in \(0, 1\), got 1.0$"),
+        ({"gamma_init": 0.0}, "^gamma_init must be at least 0.001, got 0.0$"),
+        ({"mask_index_mode": "folded"}, "^unknown mask_index_mode 'folded'$"),
+    ])
+    def test_config_and_block_refuse_alike(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(n_classes=2, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            SatseBlock(2, 8, **kwargs)
 
     def test_initial_phi_is_the_fixed_phi_when_set(self):
         assert ModelConfig(n_classes=2, phi_init=0.3).initial_phi == 0.3

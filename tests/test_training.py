@@ -53,6 +53,26 @@ class TestHyperparams:
         h = Hyperparams(lr_drop_epoch=60, epochs=50)
         assert {lr_at_epoch(h, e) for e in range(h.epochs)} == {h.lr}
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("lr", float("inf"), "positive and finite"),
+        ("lr", float("nan"), "positive and finite"),
+        ("weight_decay", float("nan"), "non-negative and finite"),
+        ("weight_decay", float("inf"), "non-negative and finite"),
+        ("lr_drop_factor", float("inf"), "positive and finite"),
+        ("adam_eps", float("nan"), "positive and finite"),
+        ("adam_beta1", 1.0, r"in \[0, 1\)"),  # a zero bias correction
+        ("adam_beta1", -0.1, r"in \[0, 1\)"),
+        ("adam_beta2", float("nan"), r"in \[0, 1\)"),
+        ("seed", -1, "non-negative"),
+    ])
+    def test_non_finite_or_out_of_range_value_refused(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"{field} must be {rule}, got"):
+            Hyperparams(**{field: value})
+
+    def test_bounds_admit_their_edges(self):
+        h = Hyperparams(weight_decay=0.0, adam_beta1=0.0, adam_beta2=0.0, seed=0)
+        assert (h.weight_decay, h.adam_beta1, h.adam_beta2) == (0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("batch_size", [-1, 0, 1])
     def test_batch_below_two_rejected(self, batch_size):
         # train-mode batch norm needs two records, so a batch of one would

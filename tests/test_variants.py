@@ -179,6 +179,20 @@ class TestMixedLengths:
         assert "padded 2 distinct record lengths to 64" in out
         assert "macro f1" in out
 
+    def test_satse_model_refuses_records_of_another_length(self):
+        ds = toy(2, n=6, length=48)
+        model = build_model(tiny_config(input_length=64), seed=2)
+        message = ("have length 48, but the model's spectral blocks are built "
+                   "for length 64")
+        with pytest.raises(ValueError, match=f"^records {message}$"):
+            predict(model, ds.records)
+        with pytest.raises(ValueError, match=f"^train records {message}$"):
+            train(model, ds, Hyperparams(epochs=1, lr_drop_epoch=1))
+        # without spectral blocks the pooled head takes any one length
+        plain = build_model(tiny_config(input_length=64,
+                                        satse_blocks_enabled=(False,) * 4))
+        assert len(predict(plain, ds.records)) == len(ds.records)
+
     def test_pad_then_train_directly(self):
         ds = pad_to_max(self._mixed_dataset())
         model = build_model(tiny_config(n_classes=2), seed=6)
