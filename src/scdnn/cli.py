@@ -22,6 +22,7 @@ import numpy as np
 from .autodiff import _EPSILON_RANGE, Tensor, grad_check
 from .data import (
     SPLIT_NAMES,
+    EcgDataset,
     pad_to_max,
     read_ecgb,
     stratified_split,
@@ -29,16 +30,14 @@ from .data import (
     write_ecgb,
 )
 from .model import (
-    BACKBONES,
     MIN_INPUT_LENGTH,
-    PRECISIONS,
     ModelConfig,
+    _parse_field,
     build_model,
     load_model,
     save_model,
     tiny_config,
 )
-from .satse import MASK_INDEX_MODES
 from .training import (
     ABLATION_AXES,
     Hyperparams,
@@ -123,32 +122,43 @@ def _split_hash(dataset):
 # -- shared argument groups ------------------------------------------------
 
 
-def _comma_list(kind):
-    """An argparse type: comma-separated text to a tuple of `kind` values."""
+def _checked(parse, check=lambda value: None):
+    """An argparse type: `parse` the text, then `check` the value; a failure
+    of either is a usage error quoting the text."""
     def convert(text):
         try:
-            return tuple(kind(v) for v in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a comma list of {kind.__name__} values") from None
-        except argparse.ArgumentTypeError as exc:
+            value = parse(text)
+            check(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        return value
     return convert
+
+
+def _comma_list(kind, check=lambda values: None):
+    """An argparse type: comma-separated text to a tuple of `kind` values,
+    refused if `check` refuses it."""
+    return _checked(lambda text: tuple(kind(v) for v in text.split(",")), check)
 
 
 def _at_least(minimum, kind=int, maximum=np.inf):
     """An argparse type: a finite `kind` value in [`minimum`, `maximum`]."""
-    def convert(text):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = minimum - 1
+    def check(value):
         if not (minimum <= value <= maximum and value < np.inf):
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite {kind.__name__} of at least {minimum}"
+            raise ValueError(
+                f"not a finite {kind.__name__} of at least {minimum}"
                 + ("" if maximum == np.inf else f" and at most {maximum}"))
-        return value
-    return convert
+    return _checked(kind, check)
+
+
+def _field_type(cls, name):
+    """An argparse type for field `name` of dataclass `cls`: the text is read
+    as a config file reads it, then checked by building `cls` with that field
+    alone (and, for ModelConfig, the class count it requires)."""
+    field = next(f for f in fields(cls) if f.name == name)
+    required = {"n_classes": 1} if cls is ModelConfig else {}
+    return _checked(lambda text: _parse_field(field, text),
+                    lambda value: cls(**required, **{name: value}))
 
 
 def _first_blocks(text):
@@ -159,42 +169,36 @@ def _first_blocks(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not one of 0-4") from None
 
 
-# Each model and hyperparameter flag's dest is the field it sets.
-def _add_hyper_args(p):
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--wd", dest="weight_decay", type=float,
-                   help="weight decay")
-    p.add_argument("--lr-drop-epoch", type=int)
-    p.add_argument("--lr-drop-factor", type=float)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+# flag -> the field it sets, for each flag that takes its field's text
+_HYPER_FLAGS = {"--epochs": "epochs", "--batch": "batch_size", "--lr": "lr",
+                "--wd": "weight_decay", "--lr-drop-epoch": "lr_drop_epoch",
+                "--lr-drop-factor": "lr_drop_factor", "--seed": "seed"}
+_MODEL_FLAGS = {"--backbone": "backbone", "--fixed-phi": "fixed_phi",
+                "--phi-init": "phi_init", "--gamma-init": "gamma_init",
+                "--mask-mode": "mask_index_mode",
+                "--stage-widths": "stage_widths", "--precision": "precision"}
 
 
-def _add_model_args(p):
-    p.add_argument("--config", help="key=value model config file")
-    p.add_argument("--backbone", choices=BACKBONES)
+def _add_field_args(p):
+    """The model and hyperparameter flags; each sets its field when given."""
+    for cls, flags in ((Hyperparams, _HYPER_FLAGS), (ModelConfig, _MODEL_FLAGS)):
+        for flag, name in flags.items():
+            p.add_argument(flag, dest=name, type=_field_type(cls, name),
+                           default=argparse.SUPPRESS)
     p.add_argument("--satse-blocks", dest="satse_blocks_enabled", metavar="N",
-                   type=_first_blocks,
+                   type=_first_blocks, default=argparse.SUPPRESS,
                    help="enable the first N spectral blocks (0-4)")
-    p.add_argument("--fixed-phi", type=float,
-                   help="freeze the threshold ratio at this value")
-    p.add_argument("--phi-init", type=float)
-    p.add_argument("--gamma-init", type=float)
-    p.add_argument("--mask-mode", dest="mask_index_mode",
-                   choices=MASK_INDEX_MODES)
-    p.add_argument("--double-softmax", action="store_true", default=None)
+    p.add_argument("--double-softmax", action="store_true",
+                   default=argparse.SUPPRESS)
     p.add_argument("--no-stem-maxpool", dest="stem_maxpool",
-                   action="store_false", default=None)
-    p.add_argument("--stage-widths", type=_comma_list(int),
-                   help="comma list, e.g. 16,32,64,128")
-    p.add_argument("--precision", choices=PRECISIONS)
+                   action="store_false", default=argparse.SUPPRESS)
+    p.add_argument("--config", help="key=value model config file")
 
 
 def _flags_for(args, cls):
     """The fields of dataclass `cls` that flags set, with their values."""
     return {f.name: getattr(args, f.name) for f in fields(cls)
-            if getattr(args, f.name, None) is not None}
+            if hasattr(args, f.name)}
 
 
 def _config_from_args(args, dataset):
@@ -206,10 +210,7 @@ def _config_from_args(args, dataset):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = replace(ModelConfig.from_text(fh.read()), **counts)
-    updates = _flags_for(args, ModelConfig)
-    if "stage_widths" in updates:
-        updates["n_stages"] = len(updates["stage_widths"])
-    return replace(config, **updates)
+    return replace(config, **_flags_for(args, ModelConfig))
 
 
 def _read_dataset(path):
@@ -348,12 +349,8 @@ def gradcheck_loss(model, batch, labels):
 
 
 def cmd_gradcheck(args):
-    config = tiny_config(
-        n_classes=args.classes,
-        input_length=args.length,
-        widths=args.widths,
-        mask_index_mode=args.mask_mode or "symmetric",
-    )
+    config = tiny_config(n_classes=args.classes, input_length=args.length,
+                         widths=args.widths, mask_index_mode=args.mask_mode)
     model = build_model(config, seed=args.seed)
     params = {k: v for k, v in model.trainable_parameters().items()
               if args.param in k}
@@ -421,8 +418,11 @@ def _build_parser():
     p.add_argument("--leads", type=_at_least(1), default=12)
     p.add_argument("--length", type=_at_least(MIN_INPUT_LENGTH), default=512)
     p.add_argument("--noise", type=_at_least(0.0, float), default=0.05)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--fractions", type=_comma_list(float), default="0.8,0.1,0.1",
+    p.add_argument("--seed", type=_field_type(Hyperparams, "seed"), default=0)
+    # checked by stratified_split's own rule, on a dataset of no records
+    p.add_argument("--fractions", default="0.8,0.1,0.1",
+                   type=_comma_list(float, lambda f: stratified_split(
+                       EcgDataset([], [], 1), f)),
                    help="train,val,test shares")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -430,8 +430,7 @@ def _build_parser():
     p = sub.add_parser("train", help="train a model on an ECGB dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
-    _add_hyper_args(p)
-    _add_model_args(p)
+    _add_field_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model")
@@ -443,17 +442,19 @@ def _build_parser():
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check on a small model")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_field_type(Hyperparams, "seed"), default=0)
     p.add_argument("--tolerance", type=_at_least(0.0, float), default=1e-4)
     p.add_argument("--epsilon", type=_at_least(_EPSILON_RANGE[0], float,
                                                _EPSILON_RANGE[1]), default=1e-6)
     p.add_argument("--param", default="",
                    help="restrict to parameter names containing this")
-    p.add_argument("--widths", type=_comma_list(int), default="4,8")
+    p.add_argument("--widths", type=_field_type(ModelConfig, "stage_widths"),
+                   default="4,8")
     p.add_argument("--length", type=_at_least(MIN_INPUT_LENGTH), default=64)
     p.add_argument("--batch", type=_at_least(2), default=2)
     p.add_argument("--classes", type=_at_least(2), default=3)
-    p.add_argument("--mask-mode", choices=MASK_INDEX_MODES)
+    p.add_argument("--mask-mode", default="symmetric",
+                   type=_field_type(ModelConfig, "mask_index_mode"))
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="sweep one configuration axis")
@@ -464,8 +465,7 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--repeats", type=_at_least(1), default=1)
     p.add_argument("--out")
-    _add_hyper_args(p)
-    _add_model_args(p)
+    _add_field_args(p)
     # --values is converted by --axis's type once both are parsed
     p.set_defaults(func=cmd_ablate, usage_error=p.error)
     return parser

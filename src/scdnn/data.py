@@ -288,6 +288,9 @@ def synth_generate(n_per_class, n_classes, n_leads=12, length=512,
     """
     if n_classes < 2:
         raise ValueError("at least two classes are required")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and at least 0, got "
+                         f"{noise_std}")
     if np.isscalar(n_per_class):
         counts = [int(n_per_class)] * n_classes
     else:
@@ -336,6 +339,10 @@ def stratified_split(dataset, fractions=(0.8, 0.1, 0.1), seed=0):
     """
     if len(fractions) != 3:
         raise ValueError("fractions must be (train, val, test)")
+    for name, share in zip(SPLIT_NAMES, fractions):
+        if not 0 <= share < np.inf:
+            raise ValueError(f"the {name} fraction must be finite and at least "
+                             f"0, got {share}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     by_class = {}

@@ -63,7 +63,6 @@ BACKBONES = {
     "resnet50": ("bottleneck", (3, 4, 6, 3)),
 }
 
-_DEFAULT_WIDTHS = (64, 128, 256, 512)
 MIN_INPUT_LENGTH = 8
 
 # config precision -> parameter and activation dtype
@@ -122,8 +121,9 @@ def _parse_field(f, text):
 class ModelConfig:
     """Complete architecture description; serializable as key=value lines.
 
-    `precision` "real32" keeps the model in float32, spectral blocks
-    included: they transform in complex64 on numpy >= 2.
+    `stage_widths` holds one width per stage, so its length is the stage
+    count (1 to 4). `precision` "real32" keeps the model in float32,
+    spectral blocks included: they transform in complex64 on numpy >= 2.
     """
 
     n_classes: int
@@ -136,16 +136,14 @@ class ModelConfig:
     stem_maxpool: bool = True
     precision: str = "real64"
     input_length: int | None = None
-    n_stages: int = 4
-    stage_widths: tuple[int, ...] | None = None
+    stage_widths: tuple[int, ...] = (64, 128, 256, 512)
     phi_init: float = 0.4
     gamma_init: float = 0.5
     tie_lambdas: bool = False
 
     def __post_init__(self):
         self.satse_blocks_enabled = tuple(bool(v) for v in self.satse_blocks_enabled)
-        if self.stage_widths is not None:
-            self.stage_widths = tuple(int(v) for v in self.stage_widths)
+        self.stage_widths = tuple(int(v) for v in self.stage_widths)
         self.validate()
 
     def validate(self):
@@ -158,17 +156,18 @@ class ModelConfig:
                 f"unsupported backbone {self.backbone!r}; "
                 f"choose from {sorted(BACKBONES)}"
             )
-        _check_settings(self.initial_phi, self.gamma_init, self.mask_index_mode,
-                        "phi_init" if self.fixed_phi is None else "fixed_phi")
+        _check_settings(self.phi_init, self.gamma_init, self.mask_index_mode)
+        if self.fixed_phi is not None:  # checked as the start it replaces
+            _check_settings(self.fixed_phi, self.gamma_init,
+                            self.mask_index_mode, "fixed_phi")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
-        if not 1 <= self.n_stages <= 4:
-            raise ValueError("n_stages must be between 1 and 4")
         if len(self.satse_blocks_enabled) != 4:
             raise ValueError("satse_blocks_enabled must list 4 booleans")
-        if self.stage_widths is not None and len(self.stage_widths) != self.n_stages:
-            raise ValueError("stage_widths must supply one width per stage")
-        if self.stage_widths is not None and min(self.stage_widths) < 1:
+        if not 1 <= len(self.stage_widths) <= 4:
+            raise ValueError(f"stage_widths must list 1 to 4 stages, got "
+                             f"{self.stage_widths}")
+        if min(self.stage_widths) < 1:
             raise ValueError(f"stage widths must be at least 1, got "
                              f"{self.stage_widths}")
         if self.input_length is not None and self.input_length < MIN_INPUT_LENGTH:
@@ -182,9 +181,6 @@ class ModelConfig:
     @property
     def dtype(self):
         return PRECISIONS[self.precision]
-
-    def widths(self):
-        return self.stage_widths or _DEFAULT_WIDTHS[: self.n_stages]
 
     def to_text(self):
         lines = []
@@ -236,14 +232,8 @@ class ModelConfig:
 def tiny_config(n_classes=3, n_leads=12, input_length=64, widths=(4, 8),
                 **overrides):
     """A two-stage configuration small enough for exhaustive gradient checks."""
-    return ModelConfig(
-        n_classes=n_classes,
-        n_leads=n_leads,
-        input_length=input_length,
-        n_stages=len(widths),
-        stage_widths=tuple(widths),
-        **overrides,
-    )
+    return ModelConfig(n_classes=n_classes, n_leads=n_leads,
+                       input_length=input_length, stage_widths=widths, **overrides)
 
 
 def _conv_out_len(length, kernel, stride, padding):
@@ -311,7 +301,7 @@ class ScdnnModel:
         dtype = config.dtype
         rng = np.random.default_rng(seed)
         kind, blocks_per_stage = BACKBONES[config.backbone]
-        widths = config.widths()
+        widths = config.stage_widths
 
         self.stem_conv = Conv1d(config.n_leads, widths[0], 7, 2, 3, rng=rng,
                                 dtype=dtype)
@@ -325,11 +315,11 @@ class ScdnnModel:
         self.satse = []
         self.stage_shapes = []
         c_in = widths[0]
-        for s in range(config.n_stages):
+        for s, width in enumerate(widths):
             stride = 1 if s == 0 else 2
             blocks = []
             for b in range(blocks_per_stage[s]):
-                blocks.append(_ResidualBlock(kind, c_in, widths[s],
+                blocks.append(_ResidualBlock(kind, c_in, width,
                                              stride if b == 0 else 1, rng, dtype))
                 c_in = blocks[-1].c_out
             length = _conv_out_len(length, 3, stride, 1)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,9 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdnn import training
-from scdnn.cli import main, read_manifest, write_manifest
+from scdnn.cli import (
+    _HYPER_FLAGS,
+    _MODEL_FLAGS,
+    main,
+    read_manifest,
+    write_manifest,
+)
 from scdnn.data import EcgDataset, read_ecgb, write_ecgb
-from scdnn.model import build_model, load_model, save_model, tiny_config
+from scdnn.model import (
+    ModelConfig,
+    _parse_field,
+    build_model,
+    load_model,
+    save_model,
+    tiny_config,
+)
+from scdnn.training import Hyperparams
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +87,24 @@ class TestSynth:
                   *(s for kv in args.items() for s in kv)])
         assert exc.value.code == 2
         assert f"argument {flag}: {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1,1,1", "the train fraction must be finite and at least 0, got -1.0"),
+        ("nan,0.5,0.5", "the train fraction must be finite and at least 0, "
+                        "got nan"),
+        ("0.5,0.5", "fractions must be (train, val, test)"),
+    ])
+    def test_bad_fractions_are_a_usage_error_writing_no_file(self, tmp_path,
+                                                             capsys, value,
+                                                             message):
+        out = tmp_path / "x.ecgb"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--classes", "2", "--n", "6", "--length", "16",
+                  f"--fractions={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"scdnn synth: error: argument --fractions: {value!r}: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, counts", [("5", [5, 5, 5]),
                                            ("3,4,5", [3, 4, 5])])
@@ -184,7 +217,7 @@ class TestTrain:
     def test_config_file_overridden_by_flags(self, micro_dataset, tmp_path):
         cfg = tmp_path / "model.cfg"
         cfg.write_text("n_classes=3\nphi_init=0.25\nstage_widths=4,8\n"
-                       "n_stages=2\ninput_length=64\n")
+                       "input_length=64\n")
         d = tmp_path / "cfgrun"
         rc = main(["train", "--data", micro_dataset, "--out-dir", str(d),
                    "--epochs", "1", "--batch", "8", "--config", str(cfg),
@@ -195,12 +228,20 @@ class TestTrain:
         model = load_model(d / "model.scdn")
         assert model.config.phi_init == 0.3
 
+    def test_config_file_of_class_count_and_widths_trains(self, micro_dataset,
+                                                          tmp_path):
+        # the widths alone give the stage count
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_classes=3\nstage_widths=4,8\n")
+        d = tmp_path / "cfgrun"
+        assert main(["train", "--data", micro_dataset, "--out-dir", str(d),
+                     "--epochs", "1", "--batch", "8", "--config", str(cfg)]) == 0
+        assert load_model(d / "model.scdn").config.stage_widths == (4, 8)
 
     def test_input_length_comes_from_the_dataset(self, micro_dataset,
                                                  tmp_path):
         cfg = tmp_path / "model.cfg"
-        cfg.write_text("n_classes=3\nstage_widths=4,8\nn_stages=2\n"
-                       "input_length=100\n")
+        cfg.write_text("n_classes=3\nstage_widths=4,8\ninput_length=100\n")
         d = tmp_path / "cfgrun"
         assert main(["train", "--data", micro_dataset, "--out-dir", str(d),
                      "--epochs", "1", "--batch", "8",
@@ -223,8 +264,7 @@ class TestTrain:
         assert main(["synth", "--classes", "2", "--n", "8", "--leads", "6",
                      "--length", "64", "--out", str(data)]) == 0
         cfg = tmp_path / "model.cfg"
-        cfg.write_text("n_classes=2\nn_leads=12\nstage_widths=2,4\n"
-                       "n_stages=2\n")
+        cfg.write_text("n_classes=2\nn_leads=12\nstage_widths=2,4\n")
         for extra in ([], ["--config", str(cfg)]):
             run = tmp_path / f"run{len(extra)}"
             assert main(["train", "--data", str(data), "--out-dir", str(run),
@@ -262,7 +302,7 @@ class TestTrain:
             "config.fixed_phi": "0.3", "config.mask_index_mode": "literal",
             "config.double_softmax": "True", "config.stem_maxpool": "False",
             "config.precision": "real32", "config.input_length": "64",
-            "config.n_stages": "2", "config.stage_widths": "2,4",
+            "config.stage_widths": "2,4",
             "config.phi_init": "0.35", "config.gamma_init": "0.7",
             "config.tie_lambdas": "False",
         }
@@ -349,6 +389,7 @@ class TestGradcheck:
         ("--batch", "1"), ("--batch", "0"), ("--classes", "1"),
         ("--length", "7"), ("--length", "x"), ("--tolerance", "nan"),
         ("--tolerance", "-1"), ("--epsilon", "1e-3"), ("--epsilon", "inf"),
+        ("--widths", "0,4"), ("--widths", "4,4,4,4,4"), ("--mask-mode", "x"),
     ])
     def test_malformed_flag_is_argument_error_before_any_work(self, capsys,
                                                              flag, value):
@@ -465,6 +506,9 @@ class TestArgvProperty:
             "--noise": (st.floats(0.0, 1.0),
                         ["", "x", "nan", "inf", "-inf", "-0.1"]),
             "--seed": (st.integers(0, 5), _SEED_BAD),
+            "--fractions": (st.sampled_from(["0.5,0.25,0.25", "1,0,0"]),
+                            ["", "x", "0.5,0.5", "-1,1,1", "nan,0.5,0.5",
+                             "0.5,inf,0.5", "0.5,0.2,0.2"]),
         })
         unwritable = data.draw(st.booleans(), label="unwritable --out")
         out = tmp_path_factory.mktemp("synth") / ("no/x.ecgb" if unwritable
@@ -479,7 +523,8 @@ class TestArgvProperty:
             "--length": (st.sampled_from([16, 32, 64]), _COUNT_BAD + ["7"]),
             "--batch": (st.integers(2, 4), _COUNT_BAD + ["1"]),
             "--classes": (st.integers(2, 4), _COUNT_BAD + ["1"]),
-            "--widths": (st.sampled_from(["2,4", "4"]), ["", "x", "2,x"]),
+            "--widths": (st.sampled_from(["2,4", "4"]),
+                         ["", "x", "2,x", "0,4", "4,4,4,4,4"]),
             "--seed": (st.integers(0, 5), _SEED_BAD),
         })
         unknown = data.draw(st.booleans(), label="unknown --param")
@@ -509,35 +554,55 @@ class TestArgvProperty:
     @given(data=st.data())
     def test_train_argv(self, micro_dataset, tmp_path_factory, data):
         argv, bad = _flag_values(data, {
-            "--epochs": (st.just(1), ["", "x", "1.5"]),
-            "--batch": (st.integers(4, 8), ["", "x", "1.5"]),
-            "--lr": (st.sampled_from([1e-3, 1e-2]), ["", "x"]),
-            "--wd": (st.sampled_from([0.0, 1e-4]), ["", "x"]),
-            "--lr-drop-epoch": (st.integers(0, 2), ["", "x", "1.5"]),
+            "--epochs": (st.just(1), ["", "x", "1.5", "0", "-1"]),
+            "--batch": (st.integers(4, 8), ["", "x", "1.5", "1"]),
+            "--lr": (st.sampled_from([1e-3, 1e-2]), ["", "x", "nan", "inf", "0"]),
+            "--wd": (st.sampled_from([0.0, 1e-4]), ["", "x", "-1", "nan"]),
+            "--lr-drop-epoch": (st.integers(0, 2), ["", "x", "1.5", "-1"]),
+            "--lr-drop-factor": (st.sampled_from([2.0, 10.0]),
+                                 ["", "x", "0", "inf", "nan"]),
             "--seed": (st.integers(0, 3), _SEED_BAD),
             "--backbone": (st.sampled_from(["resnet18", "resnet34"]),
                            ["", "x", "ResNet18"]),
             "--satse-blocks": (st.integers(0, 4), ["", "x", "5", "-1"]),
-            "--stage-widths": (st.sampled_from(["4,8", "4"]), ["", "x", "4,x"]),
-            "--phi-init": (st.sampled_from([0.2, 0.5]), ["", "x"]),
+            "--stage-widths": (st.sampled_from(["4,8", "4"]),
+                               ["", "x", "4,x", "0,4", "4,4,4,4,4"]),
+            "--phi-init": (st.sampled_from([0.2, 0.5]),
+                           ["", "x", "0", "1", "nan"]),
+            "--gamma-init": (st.sampled_from([0.5, 2.0]), ["", "x", "0", "nan"]),
+            "--fixed-phi": (st.sampled_from([None, 0.3]), ["", "x", "1.5"]),
             "--mask-mode": (st.sampled_from(["literal", "symmetric"]),
                             ["", "x"]),
             "--precision": (st.sampled_from(["real32", "real64"]), ["", "x"]),
         })
-        refused = data.draw(st.sampled_from([None, *sorted(_TRAIN_REFUSED)]),
-                            label="refused flag")
-        if refused:
-            value = data.draw(st.sampled_from(_TRAIN_REFUSED[refused]),
-                              label=f"refused {refused}")
-            argv.append(f"{refused}={value}")
         missing = data.draw(st.booleans(), label="missing --data")
         root = tmp_path_factory.mktemp("train")
         path = root / "none.ecgb" if missing else micro_dataset
         out = root / "run"
         rc, _, err = _run_argv(["train", *argv, f"--data={path}",
                                 f"--out-dir={out}"])
-        _check_outcome(rc, err, bad, refused is not None or missing)
+        _check_outcome(rc, err, bad, missing)
         assert out.exists() == (rc == 0)  # no run directory from a refusal
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_train_field_flag_refused_exactly_as_its_config_key(
+            self, tmp_path_factory, data):
+        flag = data.draw(st.sampled_from(sorted(_TRAIN_FIELD_FLAGS)),
+                         label="flag")
+        cls, name = _TRAIN_FIELD_FLAGS[flag]
+        text = data.draw(_FIELD_TEXT, label="text")
+        refusal = _key_refusal(cls, name, text)
+        out = tmp_path_factory.mktemp("train") / "run"
+        missing = out.parent / "none.ecgb"
+        rc, _, err = _run_argv(["train", f"{flag}={text}", f"--data={missing}",
+                                f"--out-dir={out}"])
+        if refusal is None:  # the flag passes; the missing dataset stops it
+            assert rc == 1 and err.startswith("error: "), err
+        else:
+            assert rc == 2 and err.splitlines()[-1] == (
+                f"scdnn train: error: argument {flag}: {text!r}: {refusal}")
+        assert not out.exists()
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -547,9 +612,10 @@ class TestArgvProperty:
             "--axis": (st.just(axis), ["", "x", "satse_count"]),
             "--values": _ABLATION_VALUES[axis],
             "--repeats": (st.just(1), _COUNT_BAD),
-            "--epochs": (st.just(1), ["", "x", "1.5"]),
-            "--batch": (st.integers(4, 8), ["", "x", "1.5"]),
-            "--stage-widths": (st.sampled_from(["4,8", "4"]), ["", "x", "4,x"]),
+            "--epochs": (st.just(1), ["", "x", "1.5", "0"]),
+            "--batch": (st.integers(4, 8), ["", "x", "1.5", "1"]),
+            "--stage-widths": (st.sampled_from(["4,8", "4"]),
+                               ["", "x", "4,x", "0,4"]),
             "--seed": (st.integers(0, 3), _SEED_BAD),
         })
         missing = data.draw(st.booleans(), label="missing --data")
@@ -559,19 +625,37 @@ class TestArgvProperty:
         _check_outcome(rc, err, bad, missing)
 
 
-# Values that argparse accepts and the run refuses with exit 1.
-_TRAIN_REFUSED = {
-    "--epochs": ["0", "-1"],
-    "--batch": ["1"],
-    "--lr": ["nan", "inf", "0"],
-    "--wd": ["-1", "nan"],
-    "--lr-drop-epoch": ["-1"],
-    "--lr-drop-factor": ["0", "inf", "nan"],
-    "--phi-init": ["0", "1", "nan"],
-    "--gamma-init": ["0", "nan"],
-    "--fixed-phi": ["1.5"],
-    "--stage-widths": ["0,4"],
+# Each train flag that takes its field's text, and the field it sets;
+# --satse-blocks takes a count, and the switches take no text.
+_TRAIN_FIELD_FLAGS = {
+    **{flag: (Hyperparams, name) for flag, name in _HYPER_FLAGS.items()},
+    **{flag: (ModelConfig, name) for flag, name in _MODEL_FLAGS.items()},
 }
+
+# Values with no surrounding space or line break: a config file strips
+# those as part of its line syntax, while a flag takes its text as given.
+_FIELD_TEXT = (
+    st.sampled_from(["", "x", "None", "nan", "inf", "-inf", "0", "1", "2",
+                     "-1", "1.5", "0.3", "1e-3", "True", "4,8", "0,4", "4,,8",
+                     "4,8,16,32,64", "resnet34", "literal", "real32"])
+    | st.integers(-3, 64).map(str) | st.floats().map(repr)
+    | st.text(st.characters(blacklist_categories=("Z", "C")), max_size=6)
+)
+
+
+def _key_refusal(cls, name, text):
+    """The message refusing `text` as field `name` of `cls`, read as a config
+    file reads it, or None if it is accepted. Hyperparams has no file, so its
+    field is converted by the same converter and checked by its constructor."""
+    try:
+        if cls is ModelConfig:
+            ModelConfig.from_text(f"n_classes=3\n{name}={text}\n")
+        else:
+            field = next(f for f in fields(cls) if f.name == name)
+            cls(**{name: _parse_field(field, text)})
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 _ABLATION_VALUES = {
@@ -696,9 +780,12 @@ class TestErrors:
     def test_bad_initial_value_refused_before_the_manifest(
             self, micro_dataset, tmp_path, capsys, flag, value, message):
         out_dir = tmp_path / "o"
-        assert main(["train", "--data", micro_dataset, "--out-dir",
-                     str(out_dir), flag, value]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", micro_dataset, "--out-dir", str(out_dir),
+                  flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: {value!r}: {message}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [
@@ -713,7 +800,7 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "-1"])
         assert exc.value.code == 2
-        assert "argument --seed: '-1' is not a finite int of at least 0" in (
+        assert "argument --seed: '-1': seed must be non-negative, got -1" in (
             capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
@@ -728,8 +815,11 @@ class TestErrors:
         missing = str(tmp_path / "none.ecgb")
         for command in (["train", "--out-dir", str(tmp_path / "o")],
                         ["ablate", "--axis", "depth", "--values", "resnet18"]):
-            assert main(command + ["--data", missing, flag, value]) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--data", missing, flag, value])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"error: argument {flag}: {value!r}: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_eval_at_another_length_names_both_lengths(self, micro_model,
@@ -753,9 +843,11 @@ class TestErrors:
             capsys.readouterr().err)
 
     def test_batch_of_one_rejected(self, micro_dataset, tmp_path, capsys):
-        rc = main(["train", "--data", micro_dataset, "--out-dir",
-                   str(tmp_path / "o"), "--epochs", "2", "--batch", "1",
-                   "--stage-widths", "4,8"])
-        assert rc == 1
-        assert "batch_size must be at least 2" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "model.scdn").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", micro_dataset, "--out-dir",
+                  str(tmp_path / "o"), "--epochs", "2", "--batch", "1",
+                  "--stage-widths", "4,8"])
+        assert exc.value.code == 2
+        assert "argument --batch: '1': batch_size must be at least 2" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()

@@ -277,6 +277,12 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_generate(5, 1, length=64)
 
+    @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match=f"noise_std must be finite and "
+                                             f"at least 0, got {noise}"):
+            synth_generate(2, 2, length=32, noise_std=noise)
+
 
 class TestStratifiedSplit:
     def test_balanced_100_records(self):
@@ -320,3 +326,14 @@ class TestStratifiedSplit:
         ds = synth_generate(5, 2, length=32, seed=1)
         with pytest.raises(ValueError, match="sum to 1"):
             stratified_split(ds, (0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("fractions, name", [
+        ((-1.0, 1.0, 1.0), "train"), ((0.5, float("nan"), 0.5), "val"),
+        ((0.0, 0.0, float("inf")), "test"),
+    ])
+    def test_negative_or_non_finite_fraction_rejected_naming_it(self, fractions,
+                                                                name):
+        ds = synth_generate(5, 2, length=32, seed=1)
+        with pytest.raises(ValueError, match=f"the {name} fraction must be "
+                                             f"finite and at least 0"):
+            stratified_split(ds, fractions)

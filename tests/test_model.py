@@ -44,7 +44,7 @@ class TestConfig:
     def test_text_roundtrip(self):
         cfg = ModelConfig(n_classes=5, backbone="resnet34", fixed_phi=0.2,
                           input_length=512, satse_blocks_enabled=(1, 1, 0, 0),
-                          stage_widths=None, double_softmax=True)
+                          stage_widths=(8, 16), double_softmax=True)
         back = ModelConfig.from_text(cfg.to_text())
         assert back == cfg
 
@@ -65,6 +65,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="stage widths must be at least 1"):
             tiny_config(widths=widths)
 
+    @pytest.mark.parametrize("widths", [(), (4, 8, 8, 8, 8)])
+    def test_stage_count_outside_one_to_four_rejected(self, widths):
+        with pytest.raises(ValueError, match="stage_widths must list 1 to 4 stages"):
+            tiny_config(widths=widths)
+
+    def test_stage_count_is_the_number_of_widths(self):
+        assert ModelConfig(n_classes=2).stage_widths == (64, 128, 256, 512)
+        cfg = ModelConfig.from_text("n_classes=3\nstage_widths=4,8\n")
+        model = build_model(replace(cfg, input_length=64), seed=0)
+        assert [c for c, _ in model.stage_shapes] == [4, 8]
+
     def test_satse_count_helper(self):
         cfg = ModelConfig(n_classes=2).with_satse_count(2)
         assert cfg.satse_blocks_enabled == (True, True, False, False)
@@ -82,6 +93,7 @@ class TestConfig:
         ({"fixed_phi": -0.2, "phi_init": 0.3}, "fixed_phi must lie in"),
         ({"gamma_init": 0.0}, "gamma_init must be at least 0.001, got 0.0"),
         ({"gamma_init": float("nan")}, "gamma_init must be at least"),
+        ({"fixed_phi": 0.3, "phi_init": 5.0}, "phi_init must lie in"),
     ])
     def test_initial_phi_and_gamma_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -100,7 +112,7 @@ class TestConfig:
 
     def test_initial_phi_is_the_fixed_phi_when_set(self):
         assert ModelConfig(n_classes=2, phi_init=0.3).initial_phi == 0.3
-        cfg = ModelConfig(n_classes=2, fixed_phi=0.2, phi_init=7.0)
+        cfg = ModelConfig(n_classes=2, fixed_phi=0.2, phi_init=0.3)
         assert cfg.initial_phi == 0.2
         model = build_model(replace(cfg, input_length=64), seed=0)
         assert [row[0] for row in model.satse_snapshot()] == [0.2] * 4
@@ -135,7 +147,6 @@ class TestConfig:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_text_roundtrip_property(self, data):
-        n_stages = data.draw(st.integers(1, 4))
         cfg = ModelConfig(
             n_classes=data.draw(st.integers(1, 10_000)),
             n_leads=data.draw(st.integers(1, 64)),
@@ -148,9 +159,8 @@ class TestConfig:
             stem_maxpool=data.draw(st.booleans()),
             precision=data.draw(st.sampled_from(["real32", "real64"])),
             input_length=data.draw(st.none() | st.integers(8, 1 << 20)),
-            n_stages=n_stages,
-            stage_widths=data.draw(st.none() | st.tuples(
-                *[st.integers(1, 1024)] * n_stages)),
+            stage_widths=data.draw(st.lists(st.integers(1, 1024), min_size=1,
+                                            max_size=4).map(tuple)),
             phi_init=data.draw(st.floats(0.0, 1.0, exclude_min=True,
                                          exclude_max=True)),
             gamma_init=data.draw(st.floats(GAMMA_MIN, allow_infinity=False)),
@@ -168,7 +178,7 @@ class TestConfig:
         ("n_classes=3\ngamma_init=None", "gamma_init"),
         ("n_classes=3\ndouble_softmax=None", "double_softmax"),
         ("n_classes=3\nsatse_blocks_enabled=None", "satse_blocks_enabled"),
-        ("n_classes=3\nn_stages=2.0", "n_stages"),
+        ("n_classes=3\nstage_widths=2.0", "stage_widths"),
         ("n_classes=3\nstage_widths=4,,8", "stage_widths"),
         ("phi_init=0.3", "n_classes"),
     ])
@@ -456,13 +466,13 @@ class TestPersistence:
             ModelConfig(n_classes=5, backbone="resnet18", input_length=128,
                         stage_widths=(4, 8, 12, 16),
                         satse_blocks_enabled=(True, False, True, True)),
-            "51a18fd927a69b5a3f4c7e82e152b594ac1fe4b3e70e63f4ce28051c67af64e7",
+            "1f94f72a4b4d2cb9227424b22006eec6ddfed8e507c528a07437b390fdce98c4",
         ),
         "resnet50": (
             ModelConfig(n_classes=3, n_leads=2, backbone="resnet50",
-                        input_length=96, n_stages=3, stage_widths=(2, 4, 6),
+                        input_length=96, stage_widths=(2, 4, 6),
                         precision="real32"),
-            "b0d3dd365f4769c68669e2b9f715eee854719dd39c881cbd50849c97ab76c6c0",
+            "eeb8a0acfe69bb19e6011e82fe2c915464700a571ad8fa1ca561f6aab144a5ce",
         ),
     }
 
@@ -534,6 +544,21 @@ class TestPersistence:
         path.write_bytes(raw[:6] + struct.pack("<I", len(cfg)) + cfg
                          + raw[10 + cfg_len :])
         with pytest.raises(ModelIOError, match="'n_classes' repeated on lines"):
+            load_model(path)
+
+    def test_file_written_with_an_n_stages_key_is_refused_naming_it(self,
+                                                                     tmp_path):
+        # files from before the stage count came from stage_widths
+        path = tmp_path / "model.scdn"
+        save_model(build_model(tiny_config(), seed=9), path)
+        raw = path.read_bytes()
+        cfg_len = struct.unpack_from("<I", raw, 6)[0]
+        cfg = raw[10 : 10 + cfg_len].replace(b"stage_widths=",
+                                             b"n_stages=2\nstage_widths=")
+        path.write_bytes(raw[:6] + struct.pack("<I", len(cfg)) + cfg
+                         + raw[10 + cfg_len :])
+        with pytest.raises(ModelIOError,
+                           match=r"unknown config keys: \['n_stages'\]"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):

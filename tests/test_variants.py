@@ -96,7 +96,7 @@ class TestTiedLambdas:
 
     @pytest.mark.parametrize("overrides", [
         {"satse_blocks_enabled": (False,) * 4},
-        # flags past n_stages build no block either
+        # flags past the last stage build no block either
         {"satse_blocks_enabled": (False, False, True, True)},
     ])
     def test_no_block_registers_no_shared_pair_and_trains(self, overrides):
