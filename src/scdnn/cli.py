@@ -161,14 +161,6 @@ def _field_type(cls, name):
                     lambda value: cls(**required, **{name: value}))
 
 
-def _first_blocks(text):
-    """--satse-blocks N: the first N of the four spectral blocks enabled."""
-    try:
-        return ModelConfig.first_satse_blocks(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not one of 0-4") from None
-
-
 # flag -> the field it sets, for each flag that takes its field's text
 _HYPER_FLAGS = {"--epochs": "epochs", "--batch": "batch_size", "--lr": "lr",
                 "--wd": "weight_decay", "--lr-drop-epoch": "lr_drop_epoch",
@@ -185,8 +177,9 @@ def _add_field_args(p):
         for flag, name in flags.items():
             p.add_argument(flag, dest=name, type=_field_type(cls, name),
                            default=argparse.SUPPRESS)
+    first = _checked(lambda text: ModelConfig.first_satse_blocks(int(text)))
     p.add_argument("--satse-blocks", dest="satse_blocks_enabled", metavar="N",
-                   type=_first_blocks, default=argparse.SUPPRESS,
+                   type=first, default=argparse.SUPPRESS,
                    help="enable the first N spectral blocks (0-4)")
     p.add_argument("--double-softmax", action="store_true",
                    default=argparse.SUPPRESS)
@@ -230,7 +223,12 @@ def _read_dataset(path):
 
 
 def cmd_synth(args):
-    counts = args.n if len(args.n) > 1 else args.n * args.classes
+    try:  # a count list meets synth_generate's rule, on no records
+        counts = _comma_list(_at_least(1), lambda n: len(n) == 1 or
+                             synth_generate([0] * len(n), args.classes))(args.n)
+    except argparse.ArgumentTypeError as exc:
+        args.usage_error(f"argument --n: {exc}")
+    counts = counts * args.classes if len(counts) == 1 else counts
     dataset = synth_generate(counts, args.classes, args.leads, args.length,
                              args.noise, args.seed)
     dataset = stratified_split(dataset, args.fractions, args.seed)
@@ -410,7 +408,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ECGB dataset")
-    p.add_argument("--n", type=_comma_list(_at_least(1)), default="200",
+    p.add_argument("--n", default="200",
                    help="records per class: one count, or a comma list with "
                         "one per class")
     p.add_argument("--classes", type=_at_least(2), required=True,
@@ -425,7 +423,8 @@ def _build_parser():
                        EcgDataset([], [], 1), f)),
                    help="train,val,test shares")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    # --n is converted once --classes is parsed
+    p.set_defaults(func=cmd_synth, usage_error=p.error)
 
     p = sub.add_parser("train", help="train a model on an ECGB dataset")
     p.add_argument("--data", required=True)

@@ -296,7 +296,8 @@ def synth_generate(n_per_class, n_classes, n_leads=12, length=512,
     else:
         counts = [int(c) for c in n_per_class]
         if len(counts) != n_classes:
-            raise ValueError("n_per_class sequence must have one entry per class")
+            raise ValueError(f"n_per_class sequence must have one entry per "
+                             f"class, got {len(counts)} for {n_classes} classes")
     records = []
     for cls in range(n_classes):
         template = _class_template(cls, length, n_leads)

@@ -139,7 +139,6 @@ class ModelConfig:
     stage_widths: tuple[int, ...] = (64, 128, 256, 512)
     phi_init: float = 0.4
     gamma_init: float = 0.5
-    tie_lambdas: bool = False
 
     def __post_init__(self):
         self.satse_blocks_enabled = tuple(bool(v) for v in self.satse_blocks_enabled)
@@ -340,12 +339,6 @@ class ScdnnModel:
             else:
                 self.satse.append(None)
 
-        if config.tie_lambdas:  # later blocks use the first block's pair
-            built = [sat for sat in self.satse if sat is not None]
-            for sat in built[1:]:
-                sat.lambda_low = built[0].lambda_low
-                sat.lambda_high = built[0].lambda_high
-
         self.head = Linear(2 * c_in, config.n_classes, rng=rng, dtype=dtype)
         self._build_registry()
 
@@ -369,11 +362,9 @@ class ScdnnModel:
                     add(f"stage{s}.block{b}.{lname}", layer)
             if sat is not None:
                 add(f"satse{s}", sat)
-        # Tied blocks share the first block's pair, registered once.
-        tied = self.config.tie_lambdas
-        built = [(s, sat) for s, sat in enumerate(self.satse, 1) if sat is not None]
-        for s, sat in built[:1] if tied else built:
-            add("satse" if tied else f"satse{s}", sat, ("lambda_low", "lambda_high"))
+        for s, sat in enumerate(self.satse, 1):  # gains follow all stages
+            if sat is not None:
+                add(f"satse{s}", sat, ("lambda_low", "lambda_high"))
         add("head.fc", self.head)
 
         self._params = params

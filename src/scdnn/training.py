@@ -55,9 +55,11 @@ class Hyperparams:
     lr_drop_epoch: int = 20
     lr_drop_factor: float = 10.0
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+
+    # Adam's moment decay rates and denominator guard: constants, not fields
+    adam_beta1 = 0.9
+    adam_beta2 = 0.999
+    adam_eps = 1e-8
 
     def __post_init__(self):
         inf = np.inf
@@ -70,9 +72,6 @@ class Hyperparams:
             ("lr_drop_epoch", self.lr_drop_epoch >= 0, "non-negative"),
             ("lr_drop_factor", 0 < self.lr_drop_factor < inf, "positive and finite"),
             ("seed", self.seed >= 0, "non-negative"),
-            ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
-            ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
-            ("adam_eps", 0 < self.adam_eps < inf, "positive and finite"),
         )
         for name, holds, rule in rules:
             if not holds:
@@ -97,7 +96,8 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr, weight_decay=0.0, decay_exempt=(),
-              beta1=0.9, beta2=0.999, eps=1e-8):
+              beta1=Hyperparams.adam_beta1, beta2=Hyperparams.adam_beta2,
+              eps=Hyperparams.adam_eps):
     """One coupled-L2 Adam update, in place on the parameter tensors."""
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
@@ -260,13 +260,8 @@ def train(model, dataset, hyper, trace_callback=None):
             loss.backward()
             del loss
             grads = {k: p.grad for k, p in params.items()}
-            adam_step(
-                params, grads, state, lr,
-                weight_decay=hyper.weight_decay,
-                decay_exempt=model.weight_decay_exempt,
-                beta1=hyper.adam_beta1, beta2=hyper.adam_beta2,
-                eps=hyper.adam_eps,
-            )
+            adam_step(params, grads, state, lr, weight_decay=hyper.weight_decay,
+                      decay_exempt=model.weight_decay_exempt)
             model.clamp_satse()
             total += value * len(chosen)
             count += len(chosen)

@@ -129,7 +129,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "double_softmax=yes",
-        "tie_lambdas=",
+        "double_softmax=",
         "stem_maxpool=TRUE",
         "satse_blocks_enabled=1,x,2,0",
     ])
@@ -140,8 +140,8 @@ class TestConfig:
     def test_boolean_spellings_accepted(self):
         cfg = ModelConfig.from_text(
             "n_classes=3\ndouble_softmax=true\nstem_maxpool=False\n"
-            "tie_lambdas=1\nsatse_blocks_enabled=0,True,false,1\n")
-        assert cfg.double_softmax and cfg.tie_lambdas and not cfg.stem_maxpool
+            "satse_blocks_enabled=0,True,false,1\n")
+        assert cfg.double_softmax and not cfg.stem_maxpool
         assert cfg.satse_blocks_enabled == (False, True, False, True)
 
     @settings(max_examples=200, deadline=None)
@@ -164,7 +164,6 @@ class TestConfig:
             phi_init=data.draw(st.floats(0.0, 1.0, exclude_min=True,
                                          exclude_max=True)),
             gamma_init=data.draw(st.floats(GAMMA_MIN, allow_infinity=False)),
-            tie_lambdas=data.draw(st.booleans()),
         )
         assert ModelConfig.from_text(cfg.to_text()) == cfg
 
@@ -286,7 +285,6 @@ class TestBuild:
     # (stem, four blocks of two, one projection) and two SATSE blocks.
     @pytest.mark.parametrize("overrides, count", [
         ({}, 20 + 2 * 4),
-        ({"tie_lambdas": True}, 20 + 2 * 2 + 2),
         ({"fixed_phi": 0.2}, 20 + 2 * 4),
     ])
     def test_weight_decay_exempt_is_batchnorm_affine_and_satse_scalars(
@@ -303,12 +301,6 @@ class TestBuild:
                   if any(p is t for t in scalars)}
         assert m.weight_decay_exempt == expect
         assert len(expect) == count
-
-    def test_tied_lambdas_share_one_tensor(self):
-        m = build_model(tiny_config(tie_lambdas=True), seed=0)
-        assert m.satse[0].lambda_low is m.satse[1].lambda_low
-        assert "satse.lambda_low" in m.named_parameters()
-        assert "satse1.lambda_low" not in m.named_parameters()
 
 
 class TestResidualBlock:
@@ -443,7 +435,7 @@ class TestPersistence:
 
     def test_loaded_arrays_are_writable_and_own_their_memory(self, tmp_path):
         path = tmp_path / "model.scdn"
-        save_model(build_model(tiny_config(tie_lambdas=True), seed=9), path)
+        save_model(build_model(tiny_config(), seed=9), path)
         raw = path.read_bytes()
         loaded = load_model(path)
         arrays = [p.data for p in loaded.named_parameters().values()]
@@ -461,18 +453,20 @@ class TestPersistence:
     # SHA-256 of save_model's bytes for two seeded builds. They pin the
     # registry's names and order, the construction order and the initial
     # values; a change to any of them needs a new model format version.
+    # They also pin the embedded config text, which lists every ModelConfig
+    # field, so a field added or removed changes them too.
     GOLDEN = {
         "resnet18": (
             ModelConfig(n_classes=5, backbone="resnet18", input_length=128,
                         stage_widths=(4, 8, 12, 16),
                         satse_blocks_enabled=(True, False, True, True)),
-            "1f94f72a4b4d2cb9227424b22006eec6ddfed8e507c528a07437b390fdce98c4",
+            "49c40067949997f8735441c926e75e9d99c86da8829319e761bafe6612791e33",
         ),
         "resnet50": (
             ModelConfig(n_classes=3, n_leads=2, backbone="resnet50",
                         input_length=96, stage_widths=(2, 4, 6),
                         precision="real32"),
-            "eeb8a0acfe69bb19e6011e82fe2c915464700a571ad8fa1ca561f6aab144a5ce",
+            "dff5565fdb4c334efc8d0212e0f386a7ddbfefdfc5b0de7aef5ad2716425eaea",
         ),
     }
 
@@ -546,19 +540,22 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match="'n_classes' repeated on lines"):
             load_model(path)
 
-    def test_file_written_with_an_n_stages_key_is_refused_naming_it(self,
-                                                                     tmp_path):
-        # files from before the stage count came from stage_widths
+    # files from before the stage count came from stage_widths, and from
+    # before every block kept its own branch gains
+    @pytest.mark.parametrize("line", ["n_stages=2", "tie_lambdas=0"])
+    def test_file_with_a_retired_key_is_refused_naming_it(self, tmp_path,
+                                                          line):
         path = tmp_path / "model.scdn"
         save_model(build_model(tiny_config(), seed=9), path)
         raw = path.read_bytes()
         cfg_len = struct.unpack_from("<I", raw, 6)[0]
-        cfg = raw[10 : 10 + cfg_len].replace(b"stage_widths=",
-                                             b"n_stages=2\nstage_widths=")
+        cfg = raw[10 : 10 + cfg_len].replace(
+            b"stage_widths=", f"{line}\nstage_widths=".encode())
         path.write_bytes(raw[:6] + struct.pack("<I", len(cfg)) + cfg
                          + raw[10 + cfg_len :])
+        key = line.split("=")[0]
         with pytest.raises(ModelIOError,
-                           match=r"unknown config keys: \['n_stages'\]"):
+                           match=rf"unknown config keys: \['{key}'\]"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Configuration variants: loss shaping, precision, shared gains, padding."""
+"""Configuration variants: loss shaping, precision, SATSE blocks off,
+padding."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scdnn.data import (
     write_ecgb,
 )
 from scdnn.model import build_model, load_model, tiny_config
-from scdnn.training import Hyperparams, evaluate, predict, run_ablation, train
+from scdnn.training import Hyperparams, evaluate, predict, train
 
 
 def toy(seed=0, n=10, length=64):
@@ -79,43 +80,21 @@ class TestReal32:
             grad_check(loss, model.trainable_parameters())
 
 
-class TestTiedLambdas:
-    def test_training_keeps_blocks_in_lockstep(self):
-        ds = toy(5)
-        model = build_model(tiny_config(tie_lambdas=True), seed=5)
-        hyper = Hyperparams(epochs=2, batch_size=16, lr=1e-3, lr_drop_epoch=2,
-                            seed=5)
-        log = train(model, ds, hyper)
-        last = log.rows[-1]
-        assert last.lam_low[0] == last.lam_low[1]
-        assert last.lam_high[0] == last.lam_high[1]
-        # one shared pair instead of one pair per block
-        names = model.named_parameters()
-        assert "satse.lambda_low" in names
-        assert "satse1.lambda_low" not in names
-
+class TestNoSatseBlock:
     @pytest.mark.parametrize("overrides", [
         {"satse_blocks_enabled": (False,) * 4},
         # flags past the last stage build no block either
         {"satse_blocks_enabled": (False, False, True, True)},
     ])
-    def test_no_block_registers_no_shared_pair_and_trains(self, overrides):
+    def test_registers_no_satse_parameter_and_trains(self, overrides):
         ds = toy(5)
-        model = build_model(tiny_config(tie_lambdas=True, **overrides), seed=5)
-        assert all(sat is None for sat in model.satse)
-        assert not any("lambda" in name for name in model.named_parameters())
+        model = build_model(tiny_config(**overrides), seed=5)
+        assert model.satse == [None, None]
+        assert not any("satse" in name for name in model.named_parameters())
         hyper = Hyperparams(epochs=1, batch_size=16, lr=1e-3, lr_drop_epoch=1,
                             seed=5)
         log = train(model, ds, hyper)
         assert np.isfinite(log.rows[0].loss)
-
-    def test_satse_count_ablation_from_zero(self):
-        ds = toy(5)
-        hyper = Hyperparams(epochs=1, batch_size=16, lr=1e-3, lr_drop_epoch=1,
-                            seed=5)
-        table = run_ablation(tiny_config(tie_lambdas=True), "satse_count",
-                             [0, 1], ds, hyper)
-        assert [r.value for r in table.rows] == [0, 1]
 
 
 class TestMixedLengths:
