@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdnn import training
@@ -603,11 +603,6 @@ class TestArgvProperty:
 
     @settings(max_examples=150, deadline=None)
     @given(flag=st.sampled_from(sorted(_TRAIN_FIELD_FLAGS)), text=_FIELD_TEXT)
-    # values just past a field's bound, which random draws can miss
-    @example(flag="--phi-init", text="2")
-    @example(flag="--fixed-phi", text="0")
-    @example(flag="--gamma-init", text="0")
-    @example(flag="--batch", text="1")
     def test_train_field_flag_refused_exactly_as_its_config_key(
             self, tmp_path_factory, flag, text):
         cls, name = _TRAIN_FIELD_FLAGS[flag]
@@ -773,6 +768,22 @@ class TestErrors:
             "", "error: split 'test' is empty: it has 0 records, at least 1 "
                 "needed\n")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--phi-init", "2", "phi_init must lie in (0, 1), got 2.0"),
+        ("--fixed-phi", "0", "fixed_phi must lie in (0, 1), got 0.0"),
+        ("--gamma-init", "0", "gamma_init must be at least 0.001, got 0.0"),
+    ])
+    def test_bad_initial_value_refused_before_the_manifest(
+            self, micro_dataset, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", micro_dataset, "--out-dir", str(out_dir),
+                  flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: {value!r}: {message}\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", [
         ["synth", "--classes", "2", "--out", "{tmp}/x.ecgb"],
         ["train", "--data", "{data}", "--out-dir", "{tmp}/o"],
@@ -826,3 +837,13 @@ class TestErrors:
         assert exc.value.code == 2
         assert ("argument --satse-blocks: '5': satse block count must be 0..4, "
                 "got 5") in capsys.readouterr().err
+
+    def test_batch_of_one_rejected(self, micro_dataset, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", micro_dataset, "--out-dir",
+                  str(tmp_path / "o"), "--epochs", "2", "--batch", "1",
+                  "--stage-widths", "4,8"])
+        assert exc.value.code == 2
+        assert "argument --batch: '1': batch_size must be at least 2" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
