@@ -4,14 +4,16 @@ checking, and ablation sweeps.
 All configuration arrives through flags or a key=value config file
 (precedence: built-in defaults < config file < flags), except the class
 count, lead count and input length, which come from the dataset; no
-environment variables are consulted. Every training run writes a manifest
-sufficient to reproduce it exactly. The manifest records start and finish
+environment variables are consulted. Every training run writes a manifest,
+`run.manifest`, sufficient to reproduce it exactly: one JSON object whose
+values are strings, read back with `json.load`. It records start and finish
 times; `model.scdn`, `trace.csv` and `metrics_val.{kv,txt}` contain no
 timestamps, so reruns with identical inputs reproduce them byte for byte.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import time
@@ -21,6 +23,7 @@ import numpy as np
 
 from .autodiff import _EPSILON_RANGE, Tensor, grad_check
 from .data import (
+    ECGB_U16_MAX,
     SPLIT_NAMES,
     EcgDataset,
     pad_to_max,
@@ -41,6 +44,7 @@ from .model import (
 from .training import (
     ABLATION_AXES,
     Hyperparams,
+    _config_for,
     _loss_of,
     _train_records,
     evaluate,
@@ -48,7 +52,7 @@ from .training import (
     train,
 )
 
-__all__ = ["main", "write_manifest", "read_manifest"]
+__all__ = ["main", "write_manifest"]
 
 _GRADCHECK_MAX_COMPONENTS = 50_000
 
@@ -57,51 +61,12 @@ _GRADCHECK_MAX_COMPONENTS = 50_000
 
 
 def write_manifest(path, entries):
-    """Atomically write a u32-length-prefixed UTF-8 key=value document.
-
-    An entry that `read_manifest` could not read back (a newline in a key or
-    value, or an empty key or one holding "=") raises ValueError naming its
-    key, and nothing is written.
-    """
-    for k, v in entries.items():
-        if not k or "=" in k or "\n" in k or "\n" in str(v):
-            raise ValueError(f"manifest entry {k!r} cannot be written as one "
-                             f"key=value line")
-    text = "".join(f"{k}={v}\n" for k, v in entries.items())
-    payload = text.encode("utf-8")
-    blob = len(payload).to_bytes(4, "little") + payload
+    """Atomically write `entries` as one JSON object of their values' text,
+    ending in its closing brace, so a truncated file fails to parse."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump({k: str(v) for k, v in entries.items()}, fh, indent=2)
     os.replace(tmp, path)
-
-
-def read_manifest(path):
-    """The entries of a manifest, values verbatim; a malformed one raises
-    IOError naming the line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise IOError(f"manifest {path} is truncated")
-    n = int.from_bytes(raw[:4], "little")
-    if len(raw) != 4 + n:
-        raise IOError(f"manifest {path} has inconsistent length prefix")
-    entries = {}
-    for lineno, line in enumerate(raw[4:].split(b"\n"), 1):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            raise IOError(f"manifest {path} line {lineno} is not UTF-8") from None
-        if not line:
-            continue
-        if "=" not in line:
-            raise IOError(f"manifest {path} line {lineno} is not key=value: "
-                          f"{line!r}")
-        k, v = line.split("=", 1)
-        if k in entries:
-            raise IOError(f"manifest {path} line {lineno} repeats key {k!r}")
-        entries[k] = v
-    return entries
 
 
 def _sha256_file(path):
@@ -379,8 +344,11 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     axis = args.axis.replace("-", "_")
+    def check(values):  # by the field's own rule, on a config of defaults
+        for value in values:
+            _config_for(ModelConfig(n_classes=1), axis, value)
     try:
-        values = _comma_list(ABLATION_AXES[axis])(args.values)
+        values = _comma_list(ABLATION_AXES[axis], check)(args.values)
     except argparse.ArgumentTypeError as exc:
         args.usage_error(f"argument --values: {exc}")
     hyper = Hyperparams(**_flags_for(args, Hyperparams))
@@ -411,9 +379,10 @@ def _build_parser():
     p.add_argument("--n", default="200",
                    help="records per class: one count, or a comma list with "
                         "one per class")
-    p.add_argument("--classes", type=_at_least(2), required=True,
-                   help="number of classes, at least 2")
-    p.add_argument("--leads", type=_at_least(1), default=12)
+    p.add_argument("--classes", type=_at_least(2, maximum=ECGB_U16_MAX),
+                   required=True, help="number of classes, at least 2")
+    p.add_argument("--leads", type=_at_least(1, maximum=ECGB_U16_MAX),
+                   default=12)
     p.add_argument("--length", type=_at_least(MIN_INPUT_LENGTH), default=512)
     p.add_argument("--noise", type=_at_least(0.0, float), default=0.05)
     p.add_argument("--seed", type=_field_type(Hyperparams, "seed"), default=0)

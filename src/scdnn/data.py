@@ -41,6 +41,7 @@ __all__ = [
 
 ECGB_MAGIC = b"ECGB"
 ECGB_VERSION = 1
+ECGB_U16_MAX = 0xFFFF  # class and lead counts, name and id bytes: u16 fields
 
 SPLIT_NAMES = ("train", "val", "test")
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2, None: 255}
@@ -124,19 +125,29 @@ class EcgDataset:
         return counts
 
 
+def _u16(value, field):
+    if not 0 <= value <= ECGB_U16_MAX:
+        raise ValueError(f"ECGB {field} must be at most {ECGB_U16_MAX}, "
+                         f"got {value}")
+    return struct.pack("<H", value)
+
+
+def _u16_text(text, field):
+    raw = text.encode("utf-8")
+    return _u16(len(raw), f"{field} length in bytes") + raw
+
+
 def write_ecgb(dataset, path):
+    """Write `dataset` to `path`; a count, name or id that does not fit its
+    u16 field raises ValueError naming the field, before the file is opened."""
     chunks = [ECGB_MAGIC, struct.pack("<H", ECGB_VERSION)]
-    chunks.append(struct.pack("<H", len(dataset.class_names)))
-    for name in dataset.class_names:
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-    chunks.append(struct.pack("<H", dataset.n_leads))
+    chunks.append(_u16(len(dataset.class_names), "n_classes"))
+    for c, name in enumerate(dataset.class_names):
+        chunks.append(_u16_text(name, f"class {c} name"))
+    chunks.append(_u16(dataset.n_leads, "n_leads"))
     chunks.append(struct.pack("<I", len(dataset.records)))
-    for rec in dataset.records:
-        rid = rec.record_id.encode("utf-8")
-        chunks.append(struct.pack("<H", len(rid)))
-        chunks.append(rid)
+    for i, rec in enumerate(dataset.records):
+        chunks.append(_u16_text(rec.record_id, f"record {i} record_id"))
         chunks.append(struct.pack("<H", rec.label))
         chunks.append(struct.pack("<B", _SPLIT_CODES[dataset.splits.get(rec.record_id)]))
         chunks.append(struct.pack("<I", rec.length))

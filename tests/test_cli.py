@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 from dataclasses import fields
 
@@ -13,7 +14,6 @@ from scdnn.cli import (
     _HYPER_FLAGS,
     _MODEL_FLAGS,
     main,
-    read_manifest,
     write_manifest,
 )
 from scdnn.data import EcgDataset, read_ecgb, write_ecgb
@@ -78,6 +78,7 @@ class TestSynth:
         ("--length", "3"), ("--length", "x"), ("--noise", "-1"),
         ("--noise", "nan"), ("--noise", "inf"), ("--noise", "x"),
         ("--n", "4,5"),  # not one count per class
+        ("--leads", "65536"), ("--classes", "65536"),  # past the ECGB u16
     ])
     def test_malformed_flag_is_argument_error_naming_it(self, tmp_path,
                                                         capsys, flag, value):
@@ -132,7 +133,7 @@ class TestTrain:
         for name in ("model.scdn", "trace.csv", "run.manifest",
                      "metrics_val.txt", "metrics_val.kv"):
             assert (out_dir / name).exists()
-        manifest = read_manifest(out_dir / "run.manifest")
+        manifest = json.loads((out_dir / "run.manifest").read_text())
         assert manifest["hyper.epochs"] == "2"
         assert "dataset_sha256" in manifest and "split_sha256" in manifest
         assert "finished_unix" in manifest
@@ -190,7 +191,8 @@ class TestTrain:
                      "--epochs", "2", "--batch", "8", "--stage-widths", "4,8",
                      "--lr", "0.002"]) == 0
         assert "  lr_drop_epoch=20\n" in capsys.readouterr().out
-        assert read_manifest(d / "run.manifest")["hyper.lr_drop_epoch"] == "20"
+        manifest = json.loads((d / "run.manifest").read_text())
+        assert manifest["hyper.lr_drop_epoch"] == "20"
         rows = (d / "trace.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[2]) for row in rows] == [0.002, 0.002]
 
@@ -213,7 +215,8 @@ class TestTrain:
             main(["train", "--data", micro_dataset, "--out-dir", str(d),
                   "--epochs", "1", "--batch", "8", "--stage-widths", "4,8",
                   "--satse-blocks", str(n), "--seed", "1"])
-            counts[n] = int(read_manifest(d / "run.manifest")["parameter_count"])
+            manifest = json.loads((d / "run.manifest").read_text())
+            counts[n] = int(manifest["parameter_count"])
         assert counts[2] > counts[0]
 
     def test_config_file_overridden_by_flags(self, micro_dataset, tmp_path):
@@ -225,7 +228,7 @@ class TestTrain:
                    "--epochs", "1", "--batch", "8", "--config", str(cfg),
                    "--phi-init", "0.3", "--seed", "1"])
         assert rc == 0
-        manifest = read_manifest(d / "run.manifest")
+        manifest = json.loads((d / "run.manifest").read_text())
         assert manifest["config.phi_init"] == "0.3"
         model = load_model(d / "model.scdn")
         assert model.config.phi_init == 0.3
@@ -248,7 +251,8 @@ class TestTrain:
         assert main(["train", "--data", micro_dataset, "--out-dir", str(d),
                      "--epochs", "1", "--batch", "8",
                      "--config", str(cfg)]) == 0
-        assert read_manifest(d / "run.manifest")["config.input_length"] == "64"
+        manifest = json.loads((d / "run.manifest").read_text())
+        assert manifest["config.input_length"] == "64"
         assert load_model(d / "model.scdn").config.input_length == 64
 
     def test_input_length_flag_is_not_accepted(self, micro_dataset, tmp_path,
@@ -272,7 +276,8 @@ class TestTrain:
             assert main(["train", "--data", str(data), "--out-dir", str(run),
                          "--epochs", "1", "--batch", "4",
                          "--stage-widths", "2,4", *extra]) == 0
-            assert read_manifest(run / "run.manifest")["config.n_leads"] == "6"
+            manifest = json.loads((run / "run.manifest").read_text())
+            assert manifest["config.n_leads"] == "6"
             assert main(["eval", "--model", str(run / "model.scdn"),
                          "--data", str(data)]) == 0
         assert main(["ablate", "--axis", "satse-count", "--values", "1",
@@ -290,7 +295,7 @@ class TestTrain:
             "--mask-mode", "literal", "--double-softmax", "--no-stem-maxpool",
             "--stage-widths", "2,4", "--precision", "real32",
         ]) == 0
-        manifest = read_manifest(d / "run.manifest")
+        manifest = json.loads((d / "run.manifest").read_text())
         assert {k: v for k, v in manifest.items()
                 if k.startswith(("hyper.", "config."))} == {
             "hyper.epochs": "2", "hyper.batch_size": "6", "hyper.lr": "0.002",
@@ -432,6 +437,7 @@ class TestAblate:
 
     @pytest.mark.parametrize("axis, values", [
         ("satse-count", "x"), ("satse-count", "0,1.5"), ("fixed-phi", "0.2,y"),
+        ("fixed-phi", "1.5"), ("satse-count", "5"), ("depth", "resnet99"),
     ])
     def test_values_of_another_type_are_a_usage_error_before_reading_data(
             self, tmp_path, capsys, axis, values):
@@ -656,8 +662,9 @@ def _key_refusal(cls, name, text):
 
 _ABLATION_VALUES = {
     "satse-count": (st.sampled_from(["0", "1", "1,0"]),
-                    ["", "x", "1.5", "0,x", "0,"]),
-    "fixed-phi": (st.sampled_from(["0.2", "0.3,0.2"]), ["", "x", "0.2,y"]),
+                    ["", "x", "1.5", "0,x", "0,", "5", "-1", "0,5"]),
+    "fixed-phi": (st.sampled_from(["0.2", "0.3,0.2"]),
+                  ["", "x", "0.2,y", "1.5", "0", "1", "nan", "0.2,-1"]),
 }
 
 
@@ -665,48 +672,24 @@ class TestManifest:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.manifest"
         entries = {"a": "1", "b": "x=y", "seed": "42", " c ": "  spaced \r",
-                   "empty": "", "text": "\u00e9\u2028x"}
+                   "empty": "", "text": "\u00e9\u2028x",
+                   "dataset": "/tmp/a\nseed=9", "b\nc": "2", "": "1",
+                   "a=b": "1"}
         write_manifest(path, entries)
-        assert read_manifest(path) == entries
-
-    @pytest.mark.parametrize("payload, message", [
-        (b"a=1\nbroken\n", "line 2 is not key=value: 'broken'"),
-        (b"a=1\n\xff=1\n", "line 2 is not UTF-8"),
-        (b"a=1\nb=2\na=3\n", "line 3 repeats key 'a'"),
-    ])
-    def test_malformed_payload_names_the_line(self, tmp_path, payload,
-                                              message):
-        path = tmp_path / "m.manifest"
-        path.write_bytes(len(payload).to_bytes(4, "little") + payload)
-        with pytest.raises(IOError, match=message):
-            read_manifest(path)
+        assert json.loads(path.read_text()) == entries
 
     def test_length_prefix_validated(self, tmp_path):
+        # a manifest cut short has lost its closing brace
         path = tmp_path / "m.manifest"
         write_manifest(path, {"a": "1"})
         raw = path.read_bytes()
-        path.write_bytes(raw[:-1])
-        with pytest.raises(IOError):
-            read_manifest(path)
+        for cut in range(len(raw)):
+            with pytest.raises(json.JSONDecodeError):
+                json.loads(raw[:cut])
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "m.manifest"
         write_manifest(path, {"a": "1"})
-        assert not os.path.exists(str(path) + ".tmp")
-
-    @pytest.mark.parametrize("entries, key", [
-        ({"dataset": "/tmp/a\nseed=9", "seed": 1}, "dataset"),
-        ({"a": "1", "b\nc": "2"}, "b\nc"),
-        ({"": "1"}, ""),
-        ({"a=b": "1"}, "a=b"),
-    ])
-    def test_entry_that_cannot_read_back_is_refused(self, tmp_path, entries,
-                                                    key):
-        path = tmp_path / "m.manifest"
-        with pytest.raises(ValueError) as exc:
-            write_manifest(path, entries)
-        assert repr(key) in str(exc.value)
-        assert not path.exists()
         assert not os.path.exists(str(path) + ".tmp")
 
 

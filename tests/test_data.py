@@ -154,6 +154,29 @@ class TestContainer:
             read_ecgb(path)
         assert err.value.offset == 26
 
+    @pytest.mark.parametrize("field, names, n_leads, record_id", [
+        ("n_classes", [str(c) for c in range(65536)], 1, "a"),
+        ("class 1 name length in bytes", ["x", "y" * 65536], 1, "a"),
+        ("n_leads", ["x", "y"], 65536, "a"),
+        ("record 0 record_id length in bytes", ["x", "y"], 1, "é" * 32768),
+    ], ids=["n_classes", "class_name", "n_leads", "record_id"])
+    def test_value_past_its_u16_field_is_refused_writing_no_file(
+            self, tmp_path, field, names, n_leads, record_id):
+        record = EcgRecord(np.zeros((n_leads, 4), np.float32), 0, record_id)
+        path = tmp_path / "d.ecgb"
+        with pytest.raises(ValueError, match=f"^ECGB {field} must be at most "
+                                             f"65535, got 65536$"):
+            write_ecgb(EcgDataset([record], names, n_leads), path)
+        assert not path.exists()
+
+    def test_text_at_its_u16_limit_round_trips(self, tmp_path):
+        name, rid = "x" * 65535, "é" * 32767 + "r"
+        path = tmp_path / "d.ecgb"
+        write_ecgb(EcgDataset([EcgRecord(np.zeros((1, 4), np.float32), 0,
+                                         rid)], [name, "y"], 1), path)
+        back = read_ecgb(path)
+        assert back.class_names[0] == name and back.records[0].record_id == rid
+
     def test_class_supports_report(self, tmp_path):
         # a container written with named disease classes reports its
         # vocabulary and per-class supports on read-back
