@@ -3,15 +3,16 @@ the pooled head features, the linear classifier head, and the cross-entropy
 loss.
 
 Layers own their parameter tensors; forward methods trace autodiff nodes,
-each one node with a closed-form backward. Convolution is bias-free, since
-each conv feeds a BatchNorm, and is cross-correlation (no kernel flip). It
-runs as one copy into a length-minor (C_in*k, B*L_out) im2col matrix plus
-one GEMM per call; the backward rebuilds that matrix from the input instead
-of keeping it, or, when the input needs no gradient (the stem), forms the
-weight gradient one tap's (C_in, B*L_out) slab at a time. Convolution and
-max pooling pad by index ranges, so no padded copy of the input is built or
-kept, and max pooling keeps its winning taps in the smallest integer type
-that holds them.
+each one node with a closed-form backward; bn_relu_then joins a batch norm,
+its ReLU and the layer fed by it in one node that recomputes the ReLU output
+in backward. Convolution is bias-free, since each conv feeds a BatchNorm,
+and is cross-correlation (no kernel flip). It runs as one copy into a
+length-minor (C_in*k, B*L_out) im2col matrix plus one GEMM per call; the
+backward rebuilds that matrix from the input instead of keeping it, or,
+when the input needs no gradient (the stem), forms the weight gradient one
+tap's (C_in, B*L_out) slab at a time. Convolution and max pooling pad by
+index ranges, so no padded copy of the input is built or kept, and max
+pooling keeps its winning taps in the smallest integer type that holds them.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "Conv1d",
     "BatchNorm1d",
     "Linear",
+    "bn_relu_then",
     "conv1d",
     "linear",
     "relu",
@@ -179,8 +181,9 @@ class BatchNorm1d:
         self.running_var = np.ones(channels, dtype)
         self.channels = channels
 
-    def forward(self, x, mode="train", update_running=None, residual=None,
-                relu=False):
+    def _affine(self, x, mode, update_running):
+        """Check x, update the running statistics when asked, and return the
+        mode's (C, 1) columns mean, inv, a and b."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown batchnorm mode {mode!r}")
         if update_running is None:
@@ -190,12 +193,12 @@ class BatchNorm1d:
             raise ShapeError(
                 f"batchnorm: input has {c} channels, layer has {self.channels}"
             )
-        n = b * length
         if mode == "eval":
             mean, var = self.running_mean, self.running_var
         else:
             if b < 2:
                 raise ValueError("train-mode batchnorm requires batch size >= 2")
+            n = b * length
             mean = x.data.mean(axis=(0, 2))
             centered = x.data - mean[:, None]
             var = np.square(centered, out=centered).mean(axis=(0, 2))
@@ -207,8 +210,13 @@ class BatchNorm1d:
         mean = mean[:, None]
         inv = (1.0 / np.sqrt(var + self.eps))[:, None]
         a = self.scale.data[:, None] * inv
+        return mean, inv, a, self.shift.data[:, None] - mean * a
+
+    def forward(self, x, mode="train", update_running=None, residual=None,
+                relu=False):
+        mean, inv, a, b = self._affine(x, mode, update_running)
         out = x.data * a
-        out += self.shift.data[:, None] - mean * a
+        out += b
         if residual is not None:
             out += residual.data
         if relu:
@@ -217,26 +225,62 @@ class BatchNorm1d:
         def backward(g):
             if relu:
                 g = g * (out > 0)
-            xc = x.data - mean
-            dshift = g.sum(axis=(0, 2))
-            dscale = inv[:, 0] * np.einsum("bcl,bcl->c", g, xc)
-            dx = None
-            if x.requires_grad:
-                dx = g * a
-                if mode == "train":
-                    c1 = -a * inv * dscale[:, None] / n
-                    c0 = -a * dshift[:, None] / n
-                    xc *= c1
-                    dx += xc
-                    dx += c0
-            if residual is None:
-                return dx, dscale, dshift
-            return dx, dscale, dshift, g
+            grads = _batchnorm_vjp(x, g, mean, inv, a, mode)
+            return grads if residual is None else grads + (g,)
 
         parents = (x, self.scale, self.shift)
         if residual is not None:
             parents += (residual,)
         return _node(out, parents, backward)
+
+
+def _batchnorm_vjp(x, g, mean, inv, a, mode):
+    """Batchnorm's dx (None if x needs none), dscale, dshift for masked g."""
+    n = g.size // g.shape[1]
+    xc = x.data - mean
+    dshift = g.sum(axis=(0, 2))
+    dscale = inv[:, 0] * np.einsum("bcl,bcl->c", g, xc)
+    dx = None
+    if x.requires_grad:
+        dx = g * a
+        if mode == "train":
+            c1 = -a * inv * dscale[:, None] / n
+            c0 = -a * dshift[:, None] / n
+            xc *= c1
+            dx += xc
+            dx += c0
+    return dx, dscale, dshift
+
+
+def bn_relu_then(x, bn, then, mode="train", update_running=None):
+    """then(relu(bn(x))) as one node, for a `then` (a conv's forward, a
+    max-pool) that builds one node with its input as first parent.
+
+    The node keeps x and bn's (C, 1) columns, not h = relu(x * a + b): the
+    input tensor of `then`'s node drops its data after the forward. The
+    backward recomputes h with BatchNorm1d.forward's ops in its order, so
+    bit for bit, runs `then`'s VJP, masks by h > 0 and runs bn's VJP.
+    """
+    mean, inv, a, b = bn._affine(x, mode, update_running)
+
+    def activation():
+        h = x.data * a
+        h += b
+        return np.maximum(h, 0.0, out=h)
+
+    h = Tensor(activation(), requires_grad=True)
+    out = then(h)
+    h.data = None
+
+    def backward(g):
+        h.data = activation()
+        gh, *rest = out._backward(g)
+        gh *= h.data > 0
+        h.data = None
+        return (*_batchnorm_vjp(x, gh, mean, inv, a, mode), *rest)
+
+    return _node(out.data, (x, bn.scale, bn.shift, *out._parents[1:]),
+                 backward)
 
 
 def linear(x, weight, bias):

@@ -8,8 +8,9 @@ Architecture, front to back:
     stages: basic or bottleneck residual blocks per backbone depth;
             stages after the first downsample by stride 2 with a 1x1
             projection shortcut
-            (every batchnorm+relu, and the batchnorm+shortcut+relu that
-            ends a block, is one fused autodiff node: see BatchNorm1d)
+            (a block's last batchnorm+shortcut+relu is one autodiff node,
+            see BatchNorm1d; every other batchnorm+relu is one with the
+            conv or max-pool it feeds, see bn_relu_then)
     per stage: optional SATSE block on the stage output
     head:   [avg-pool, max-pool] over length, one autodiff node
             (see pooled_features) -> linear -> logits
@@ -35,6 +36,7 @@ from .layers import (
     BatchNorm1d,
     Conv1d,
     Linear,
+    bn_relu_then,
     max_pool1d,
     pooled_features,
 )
@@ -244,11 +246,11 @@ class _ResidualBlock:
 
     "basic" is conv3-bn-relu-conv3-bn with the stride on the first conv;
     "bottleneck" is a 1x1 reduce, a strided 3x3 and a 1x1 expand to
-    4 * width. Every pair's batchnorm applies the relu itself, and the last
-    pair's also adds the shortcut first, so a block of k pairs is k conv
-    nodes and k fused batchnorm nodes. A 1x1 projection with batchnorm
-    (no relu) replaces the identity shortcut when the stride or the channel
-    count changes.
+    4 * width. Each batchnorm+relu is one node with the next conv
+    (bn_relu_then) but the last, which adds the shortcut first, so k pairs
+    are 1 conv, k - 1 fused batchnorm-conv and 1 fused batchnorm node. A 1x1
+    projection with batchnorm (no relu) replaces the identity shortcut when
+    the stride or the channel count changes.
     """
 
     def __init__(self, kind, c_in, width, stride, rng, dtype):
@@ -273,13 +275,12 @@ class _ResidualBlock:
         if self.proj is not None:
             conv, bn = self.proj
             shortcut = bn.forward(conv.forward(x), mode, update_running)
-        h = x
-        last = len(self.pairs) - 1
-        for i, (conv, bn) in enumerate(self.pairs):
-            # Positional, so that wrappers forwarding *args pass them on.
-            h = bn.forward(conv.forward(h), mode, update_running,
-                           shortcut if i == last else None, True)
-        return h
+        h = self.pairs[0][0].forward(x)
+        for (_, bn), (conv, _) in zip(self.pairs, self.pairs[1:]):
+            h = bn_relu_then(h, bn, conv.forward, mode, update_running)
+        # Positional, so that wrappers forwarding *args pass them on.
+        return self.pairs[-1][1].forward(h, mode, update_running, shortcut,
+                                         True)
 
     def named_layers(self):
         out = {}
@@ -397,10 +398,12 @@ class ScdnnModel:
                 f"expected input with {self.config.n_leads} leads "
                 f"(B, {self.config.n_leads}, L), got {x.data.shape}"
             )
-        h = self.stem_bn.forward(self.stem_conv.forward(x), mode,
-                                 update_running, None, True)
+        h = self.stem_conv.forward(x)
         if self.config.stem_maxpool:
-            h = max_pool1d(h, 3, 2, 1)
+            h = bn_relu_then(h, self.stem_bn, lambda t: max_pool1d(t, 3, 2, 1),
+                             mode, update_running)
+        else:
+            h = self.stem_bn.forward(h, mode, update_running, None, True)
         for s, blocks in enumerate(self.stages):
             for block in blocks:
                 h = block.forward(h, mode, update_running)

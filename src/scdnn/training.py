@@ -148,7 +148,7 @@ class TraceLog:
 
 
 def _batch_array(records, dtype):
-    return np.stack([rec.leads for rec in records]).astype(dtype)
+    return np.stack([rec.leads for rec in records], dtype=dtype)
 
 
 def _batch_labels(records):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_ops import add, exp, log, mul, reduce_mean, reshape, sub
-from scdnn.autodiff import ShapeError, Tensor, grad_check
+from scdnn.autodiff import ShapeError, Tensor, grad_check, no_grad
 from scdnn.layers import (
     BatchNorm1d,
     Conv1d,
     Linear,
+    bn_relu_then,
     conv1d,
     cross_entropy,
     linear,
@@ -408,11 +409,11 @@ class TestTrainBatchNorm:
             np.testing.assert_array_equal(layer.running_var, expect_var)
 
 
-def _eval_batchnorm(rng, channels):
+def _eval_batchnorm(rng, channels, dtype=np.float64):
     """A layer with non-trivial running statistics and affine parameters."""
-    layer = BatchNorm1d(channels)
-    layer.running_mean = rng.normal(size=channels)
-    layer.running_var = rng.uniform(0.2, 3.0, channels)
+    layer = BatchNorm1d(channels, dtype)
+    layer.running_mean = rng.normal(size=channels).astype(dtype)
+    layer.running_var = rng.uniform(0.2, 3.0, channels).astype(dtype)
     layer.scale.data[:] = rng.uniform(0.5, 1.5, channels)
     layer.shift.data[:] = rng.normal(size=channels) * 0.3
     return layer
@@ -624,6 +625,67 @@ class TestFusedBatchNorm:
         np.testing.assert_array_equal(both, grads["x"] + grads["r"])
 
 
+class TestBnReluThen:
+    """then(relu(bn(x))) as one node against the two-node composition
+    BatchNorm1d.forward(..., relu=True) -> conv1d or max_pool1d."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_two_node_composition_bitwise(self, data):
+        mode = data.draw(st.sampled_from(["train", "eval"]))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        kernel = data.draw(st.sampled_from([1, 3, 7]))
+        stride = data.draw(st.sampled_from([1, 2]))
+        pool = data.draw(st.booleans())
+        bsz, c_in, c_out = (data.draw(st.integers(n0, n)) for n0, n in
+                            ((2, 4), (1, 4), (1, 4)))
+        length = data.draw(st.integers(1, 20))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        # Channels sit at different offsets, so relu zeroes some of each.
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(bsz, c_in, length))
+             + rng.normal(size=(1, c_in, 1))).astype(dtype)
+
+        def run(fused):
+            rng = np.random.default_rng(seed)
+            bn = _eval_batchnorm(rng, c_in, dtype)
+            conv = Conv1d(c_in, c_out, kernel, stride, kernel // 2, rng=rng,
+                          dtype=dtype)
+            if pool:
+                def then(h):
+                    return max_pool1d(h, kernel, stride, kernel // 2)
+            else:
+                then = conv.forward
+            xt = Tensor(x, requires_grad=True)
+            if fused:
+                out = bn_relu_then(xt, bn, then, mode)
+                assert out._parents == (xt, bn.scale, bn.shift) + (
+                    () if pool else (conv.weight,))
+            else:
+                out = then(bn.forward(xt, mode, None, None, True))
+            w = rng.normal(size=out.data.shape).astype(dtype)
+            (out * Tensor(w)).sum().backward()
+            results = [out.data, xt.grad, bn.scale.grad, bn.shift.grad,
+                       bn.running_mean, bn.running_var]
+            return results + ([] if pool else [conv.weight.grad])
+
+        for got, ref in zip(run(True), run(False)):
+            assert got.dtype == ref.dtype == dtype
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_no_grad_keeps_nothing(self, mode):
+        rng = np.random.default_rng(40)
+        layer = _eval_batchnorm(rng, 3)
+        conv = Conv1d(3, 5, 3, 1, 1, rng=rng)
+        x = Tensor(rng.normal(size=(4, 3, 9)), requires_grad=True)
+        with no_grad():
+            out = bn_relu_then(x, layer, conv.forward, mode, False)
+        assert out._parents == () and out._backward is None
+        ref = conv.forward(layer.forward(x, mode, False, None, True))
+        assert out.data.tobytes() == ref.data.tobytes()
+
+
 class TestReluAndPools:
     def test_relu_cases(self):
         out = relu(Tensor(np.array([-1.0, 0.0, 2.0])))
@@ -805,9 +867,9 @@ def _held_after(build):
 
 
 class TestPaddingRetention:
-    """A padded conv or max-pool node keeps no padded copy of its input (and a
-    conv node no im2col matrix), and its input gradient is a fresh
-    C-contiguous array of the input's shape."""
+    """A padded conv or max-pool node keeps no padded copy of its input (a
+    conv node no im2col matrix, a bn_relu_then node no relu output), and its
+    input gradient is a fresh C-contiguous array of the input's shape."""
 
     SLACK = 16 * 1024
 
@@ -831,6 +893,21 @@ class TestPaddingRetention:
         xt = Tensor(rng.normal(size=(4, 16, 512)), requires_grad=True)
         out, held = _held_after(lambda: max_pool1d(xt, 3, 2, 1))
         assert held <= 2 * out.data.nbytes + self.SLACK  # out and the argmax
+        self._check_input_gradient(xt, out)
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_bn_relu_then_holds_no_relu_output(self, pool):
+        # The relu output is x's size, as large as the conv's output here;
+        # the node keeps the output (and the pool's one-byte argmax) alone.
+        rng = np.random.default_rng(32)
+        layer = _eval_batchnorm(rng, 16)
+        conv = Conv1d(16, 16, 3, 1, 1, rng=rng)
+        xt = Tensor(rng.normal(size=(4, 16, 512)), requires_grad=True)
+        then = (lambda h: max_pool1d(h, 3, 2, 1)) if pool else conv.forward
+        out, held = _held_after(lambda: bn_relu_then(xt, layer, then, "train",
+                                                     False))
+        argmax = out.data.size if pool else 0
+        assert held <= out.data.nbytes + argmax + self.SLACK
         self._check_input_gradient(xt, out)
 
 

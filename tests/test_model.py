@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 from dataclasses import fields, replace
 
@@ -388,10 +389,12 @@ class TestForward:
             m.forward(x, "eval")
 
     def test_training_graph_node_count(self):
-        # 86 parameter leaves, the input and 48 interior nodes: 20 convs,
-        # 20 batchnorms (each with its relu and, ending a block, the shortcut
-        # add fused in), the stem max-pool, 4 SATSE blocks, the pooled head
-        # features (average and max in one node), the head and the loss.
+        # 86 parameter leaves, the input and 39 interior nodes: 9 nodes of a
+        # batchnorm, its relu and the layer it feeds (the stem max-pool, and
+        # each block's second conv), the other 12 convs and 11 batchnorms
+        # (8 ending a block, with the shortcut add and relu fused in, and
+        # 3 projections), 4 SATSE blocks, the pooled head features (average
+        # and max in one node), the head and the loss.
         m = build_model(ModelConfig(n_classes=4, input_length=128,
                                     stage_widths=(4, 8, 12, 16)), seed=3)
         x = np.random.default_rng(0).normal(size=(4, 12, 128))
@@ -403,7 +406,37 @@ class TestForward:
                 seen.add(id(node))
                 stack.extend(node._parents)
         assert len(m.named_parameters()) == 86
-        assert len(seen) == 135
+        assert len(seen) == 126
+
+    def test_training_tape_holds_no_batchnorm_relu_output(self):
+        # The interior nodes of a tiny resnet18's training graph, batch 2:
+        # widths 4 and 8, L = 64, stem max-pool on, both SATSE blocks on.
+        # A batchnorm-relu output that feeds only a conv or the max-pool is
+        # recomputed in backward, so no node holds one.
+        m = build_model(tiny_config(), seed=3)
+        x = np.random.default_rng(0).normal(size=(2, 12, 64))
+        loss = cross_entropy(m.forward(x, "train"), np.arange(2))
+        seen, stack, held = {id(loss)}, [loss], []
+        while stack:
+            node = stack.pop()
+            if node._parents:
+                held.append(node.data)
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        expect = (
+            [(2, 4, 32), (2, 4, 16)]  # stem conv; batchnorm-relu-max-pool
+            # stage 1, per block: conv1, batchnorm-relu-conv2, batchnorm
+            # with shortcut and relu; then SATSE
+            + [(2, 4, 16)] * (2 * 3 + 1)
+            # stage 2: projection conv and batchnorm, two blocks, SATSE
+            + [(2, 8, 8)] * (2 + 2 * 3 + 1)
+            + [(2, 16), (2, 3), ()]  # pooled features, logits, loss
+        )
+        assert sorted(a.shape for a in held) == sorted(expect)
+        assert sum(a.nbytes for a in held) == 8 * sum(
+            math.prod(shape) for shape in expect)
 
     def test_train_mode_updates_running_stats_eval_does_not(self):
         m = build_model(tiny_config(), seed=2)
@@ -742,20 +775,32 @@ class TestPersistence:
 
 
 class TestFullModelGradients:
-    def test_small_two_stage_gradcheck(self):
-        # exhaustive check lives in the acceptance suite; this is a fast
-        # guard on a one-stage variant
+    @staticmethod
+    def _gradcheck(cfg, seed=13):
         from scdnn.cli import _randomize_for_gradcheck, gradcheck_loss
         from scdnn.autodiff import grad_check
 
-        cfg = tiny_config(widths=(4,), input_length=32)
-        m = build_model(cfg, seed=13)
-        _randomize_for_gradcheck(m, 13)
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(2, 12, 32))
-        labels = rng.integers(0, 3, size=2)
+        m = build_model(cfg, seed=seed)
+        _randomize_for_gradcheck(m, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, cfg.n_leads, cfg.input_length))
+        labels = rng.integers(0, cfg.n_classes, size=2)
         rep = grad_check(gradcheck_loss(m, x, labels), m.trainable_parameters())
         assert rep.passed, rep.worst()
+
+    def test_small_two_stage_gradcheck(self):
+        # exhaustive check lives in the acceptance suite; this is a fast
+        # guard on a one-stage variant
+        self._gradcheck(tiny_config(widths=(4,), input_length=32))
+
+    # Bottleneck blocks fuse two batchnorm-relu-conv runs each; without the
+    # stem max-pool the stem's batchnorm and relu run unfused.
+    @pytest.mark.parametrize("overrides", [
+        {"backbone": "resnet50", "widths": (2,), "n_leads": 2},
+        {"stem_maxpool": False, "widths": (4,), "n_leads": 2},
+    ], ids=["resnet50", "no_stem_maxpool"])
+    def test_gradcheck_of_other_wiring(self, overrides):
+        self._gradcheck(tiny_config(input_length=32, **overrides))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_real32_gradients_match_real64(self, seed):
