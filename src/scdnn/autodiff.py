@@ -41,6 +41,8 @@ __all__ = [
 
 # The finite-difference steps that grad_check accepts.
 _EPSILON_RANGE = (1e-7, 1e-4)
+# grad_check's floor on a gradient's scale, per unit loss and step: 2**22 u.
+_ROUNDING_FLOOR = 2.0**22 * 2.0**-53
 
 
 class ShapeError(ValueError):
@@ -236,9 +238,13 @@ def grad_check(loss_fn, params, epsilon=1e-6, tolerance=1e-4):
     pass gives the analytic gradient, then each component is perturbed in
     place by +-`epsilon` and `loss_fn` is called for the two losses. The
     relative error per component is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8). Components
-    whose analytic gradient or perturbed losses are not finite are listed
-    per name in the report's `nonfinite`, which fails it.
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8, floor), where
+    floor = 2**22 * u * max(|L+|, |L-|) / epsilon, u = 2**-53 and L+, L- are
+    the two losses. A loss carries rounding error of up to a few hundred
+    u * |L|, so the central difference of a gradient below the floor cannot
+    resolve the default tolerance, 1e-4: its error is taken relative to the
+    floor. Components whose analytic gradient or perturbed losses are not
+    finite are listed per name in the report's `nonfinite`, which fails it.
     """
     low, high = _EPSILON_RANGE
     if not low <= epsilon <= high:
@@ -268,7 +274,8 @@ def grad_check(loss_fn, params, epsilon=1e-6, tolerance=1e-4):
                 bad.append(i)
                 continue
             num = (lp - lm) / (2.0 * epsilon)
-            rel = abs(ana[i] - num) / max(abs(ana[i]), abs(num), 1e-8)
+            floor = _ROUNDING_FLOOR * max(abs(lp), abs(lm)) / epsilon
+            rel = abs(ana[i] - num) / max(abs(ana[i]), abs(num), 1e-8, floor)
             worst = max(worst, rel)
         max_rel[name] = worst
         if bad:

@@ -7,8 +7,9 @@ count, lead count and input length, which come from the dataset; no
 environment variables are consulted. Every training run writes a manifest,
 `run.manifest`, sufficient to reproduce it exactly: one JSON object whose
 values are strings, read back with `json.load`. It records start and finish
-times; `model.scdn`, `trace.csv` and `metrics_val.{kv,txt}` contain no
+times; `model.scdn`, `trace.csv` and `metrics_val.{json,txt}` contain no
 timestamps, so reruns with identical inputs reproduce them byte for byte.
+Every file is written whole: to `<path>.tmp`, then renamed over `path`.
 """
 
 import argparse
@@ -26,6 +27,7 @@ from .data import (
     ECGB_U16_MAX,
     SPLIT_NAMES,
     EcgDataset,
+    _write_whole,
     pad_to_max,
     read_ecgb,
     stratified_split,
@@ -61,12 +63,10 @@ _GRADCHECK_MAX_COMPONENTS = 50_000
 
 
 def write_manifest(path, entries):
-    """Atomically write `entries` as one JSON object of their values' text,
-    ending in its closing brace, so a truncated file fails to parse."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({k: str(v) for k, v in entries.items()}, fh, indent=2)
-    os.replace(tmp, path)
+    """Write `entries` as one JSON object of their values' text, ending in
+    its closing brace, so a truncated file fails to parse."""
+    _write_whole(path, json.dumps({k: str(v) for k, v in entries.items()},
+                                  indent=2))
 
 
 def _sha256_file(path):
@@ -244,14 +244,13 @@ def cmd_train(args):
 
     log = train(model, dataset, hyper)
     save_model(model, model_path)
-    log.write(trace_path)
+    _write_whole(trace_path, log.to_csv())
 
     report = evaluate(model, dataset, "val")
-    print(report.to_text(dataset.class_names))
-    with open(os.path.join(args.out_dir, "metrics_val.txt"), "w") as fh:
-        fh.write(report.to_text(dataset.class_names))
-    with open(os.path.join(args.out_dir, "metrics_val.kv"), "w") as fh:
-        fh.write(report.to_keyvalues())
+    text = report.to_text(dataset.class_names)
+    print(text)
+    _write_whole(os.path.join(args.out_dir, "metrics_val.txt"), text)
+    _write_whole(os.path.join(args.out_dir, "metrics_val.json"), report.to_json())
 
     manifest["finished_unix"] = f"{time.time():.3f}"
     manifest["final_train_loss"] = repr(log.rows[-1].loss)
@@ -268,10 +267,8 @@ def cmd_eval(args):
     text = report.to_text(dataset.class_names)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(args.out + ".kv", "w", encoding="utf-8") as fh:
-            fh.write(report.to_keyvalues())
+        _write_whole(args.out, text)
+        _write_whole(args.out + ".json", report.to_json())
     return 0
 
 
@@ -359,8 +356,7 @@ def cmd_ablate(args):
     text = table.to_text()
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_whole(args.out, text)
     return 0
 
 

@@ -1,5 +1,7 @@
 """Dataset container, padding, stratified splitting, and a synthetic
-multi-lead signal generator for reproducible desk-scale experiments.
+multi-lead signal generator for reproducible desk-scale experiments; also
+the whole-file writer and the bounds-checked reader that the package's
+binary formats share.
 
 ECGB file layout (all integers little-endian):
 
@@ -21,6 +23,8 @@ compute may upcast. No normalization is applied anywhere in this module:
 consumers receive raw amplitudes.
 """
 
+import contextlib
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -118,12 +122,6 @@ class EcgDataset:
             raise ValueError(f"unknown split {split!r}")
         return [r for r in self.records if self.splits.get(r.record_id) == split]
 
-    def class_supports(self):
-        counts = [0] * len(self.class_names)
-        for rec in self.records:
-            counts[rec.label] += 1
-        return counts
-
 
 def _u16(value, field):
     if not 0 <= value <= ECGB_U16_MAX:
@@ -139,7 +137,7 @@ def _u16_text(text, field):
 
 def write_ecgb(dataset, path):
     """Write `dataset` to `path`; a count, name or id that does not fit its
-    u16 field raises ValueError naming the field, before the file is opened."""
+    u16 field raises ValueError naming the field, before anything is written."""
     chunks = [ECGB_MAGIC, struct.pack("<H", ECGB_VERSION)]
     chunks.append(_u16(len(dataset.class_names), "n_classes"))
     for c, name in enumerate(dataset.class_names):
@@ -152,8 +150,23 @@ def write_ecgb(dataset, path):
         chunks.append(struct.pack("<B", _SPLIT_CODES[dataset.splits.get(rec.record_id)]))
         chunks.append(struct.pack("<I", rec.length))
         chunks.append(np.ascontiguousarray(rec.leads, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    _write_whole(path, b"".join(chunks))
+
+
+def _write_whole(path, content):
+    """Write `content`, bytes or text (as UTF-8), to `<path>.tmp`, then rename
+    that over `path`, so `path` holds its old bytes or all the new ones. If
+    anything fails, the temporary file is removed and the error raised."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(content.encode("utf-8") if isinstance(content, str)
+                     else content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class _Cursor:

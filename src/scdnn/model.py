@@ -31,7 +31,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .autodiff import ShapeError, Tensor
-from .data import _Cursor
+from .data import _Cursor, _write_whole
 from .layers import (
     BatchNorm1d,
     Conv1d,
@@ -479,8 +479,7 @@ def save_model(model, path):
         for d in arr.shape:
             chunks.append(struct.pack("<I", d))
         chunks.append(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    _write_whole(path, b"".join(chunks))
 
 
 def _file_error(offset, message):

@@ -86,24 +86,16 @@ def _check_settings(phi_init, gamma_init, mask_index_mode, phi_key="phi_init"):
     if not gamma_init >= GAMMA_MIN:
         raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
                          f"{gamma_init}")
-    _check_mode(mask_index_mode)
-
-
-def _check_mode(mode):
-    if mode not in MASK_INDEX_MODES:
-        raise ValueError(f"unknown mask_index_mode {mode!r}")
-
-
-def _effective(j, length, mode):
-    """Mask argument of bin(s) j: j in literal mode, min(j, L - j) in symmetric."""
-    _check_mode(mode)
-    x = np.asarray(j, dtype=np.float64)
-    return np.minimum(x, length - x) if mode == "symmetric" else x
+    effective_bins(0, mask_index_mode)  # refuses an unknown mode
 
 
 def effective_bins(length, mode="symmetric"):
-    """Mask argument for every bin 0 .. length - 1."""
-    return _effective(np.arange(length), length, mode)
+    """Mask argument for every bin j = 0 .. length - 1: j in literal mode,
+    min(j, L - j) in symmetric; an unknown mode raises ValueError."""
+    if mode not in MASK_INDEX_MODES:
+        raise ValueError(f"unknown mask_index_mode {mode!r}")
+    j = np.arange(length, dtype=np.float64)
+    return np.minimum(j, length - j) if mode == "symmetric" else j
 
 
 def _side(high, side):
@@ -114,20 +106,19 @@ def _side(high, side):
     return out if out.ndim else float(out)
 
 
-def soft_mask(j, phi, gamma, length, side, mode="symmetric"):
-    """Sigmoid frequency weight in (0, 1) for bin(s) j.
+def soft_mask(x, phi, gamma, length, side):
+    """Sigmoid frequency weight in (0, 1) at mask argument(s) x (see
+    effective_bins), in the dtype of x - phi * length.
 
     side="high" passes bins above the cutoff phi * length, side="low" is
     its exact complement.
     """
-    x = _effective(j, length, mode)
     return _side(stable_sigmoid(gamma * (x - phi * length)), side)
 
 
-def hard_mask(j, phi, length, side, mode="symmetric"):
+def hard_mask(x, phi, length, side):
     """0/1 cutoff at phi * length: the infinite-slope limit of soft_mask."""
-    x = _effective(j, length, mode)
-    return _side((x > phi * length).astype(np.float64), side)
+    return _side(np.greater(x, phi * length).astype(np.float64), side)
 
 
 class SatseBlock:
@@ -167,9 +158,9 @@ class SatseBlock:
         half = length // 2 + 1
         phi, gamma = self.phi.data, self.gamma.data
         lam_low, lam_high = self.lambda_low.data, self.lambda_high.data
-        offset = (effective_bins(length, self.mask_index_mode).astype(phi.dtype)
-                  - phi * length)
-        high = stable_sigmoid(gamma * offset)
+        bins = effective_bins(length, self.mask_index_mode).astype(phi.dtype)
+        offset = bins - phi * length
+        high = soft_mask(bins, phi, gamma, length, "high")
         low = 1.0 - high
         gain = lam_low * low + lam_high * high
         weight = self.weight_re.data + 1j * self.weight_im.data

@@ -9,8 +9,9 @@ the epoch's first update, so row 0 always shows the initial values.
 
 import ctypes
 import io
+import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -141,10 +142,6 @@ class TraceLog:
         out = [TRACE_HEADER]
         out.extend(row.to_csv() for row in self.rows)
         return "\n".join(out) + "\n"
-
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
 
 def _batch_array(records, dtype):
@@ -314,22 +311,12 @@ class MetricsReport:
             buf.write("  " + " ".join(f"{v:6d}" for v in self.confusion[i]) + "\n")
         return buf.getvalue()
 
-    def to_keyvalues(self):
-        lines = [
-            f"accuracy={self.accuracy!r}",
-            f"macro_precision={self.macro_precision!r}",
-            f"macro_recall={self.macro_recall!r}",
-            f"macro_f1={self.macro_f1!r}",
-        ]
-        for i, cm in enumerate(self.per_class):
-            lines.append(
-                f"class{i}={cm.precision!r},{cm.recall!r},{cm.f1!r},{cm.support}"
-            )
-        for i in range(self.confusion.shape[0]):
-            lines.append(
-                f"confusion{i}=" + ",".join(str(v) for v in self.confusion[i])
-            )
-        return "\n".join(lines) + "\n"
+    def to_json(self):
+        """The report's fields as one JSON object, `confusion` as nested
+        lists; a non-finite value raises ValueError."""
+        doc = asdict(self)
+        doc["confusion"] = self.confusion.tolist()
+        return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def metrics_from_confusion(confusion):

@@ -76,8 +76,8 @@ def test_c02_mask_algebra():
     phi = rng.uniform(0.001, 0.999, size=n)
     gamma = rng.uniform(1e-3, 100.0, size=n)
 
-    high = soft_mask(x, phi, gamma, lengths, "high", "literal")
-    low = soft_mask(x, phi, gamma, lengths, "low", "literal")
+    high = soft_mask(x, phi, gamma, lengths, "high")
+    low = soft_mask(x, phi, gamma, lengths, "low")
     complement_err = np.abs(low + high - 1.0).max()
     assert complement_err <= 1e-15
 
@@ -87,10 +87,10 @@ def test_c02_mask_algebra():
         p = float(rng.uniform(0.01, 0.99))
         g = float(rng.uniform(0.01, 50.0))
         xx = float(rng.uniform(0, length))
-        sl = soft_mask(xx, p, g, length, "low", "literal")
-        sh = soft_mask(xx, p, g, length, "high", "literal")
+        sl = soft_mask(xx, p, g, length, "low")
+        sh = soft_mask(xx, p, g, length, "high")
         assert abs(sl + sh - 1.0) <= 1e-15
-        assert abs(soft_mask(p * length, p, g, length, "high", "literal") - 0.5) \
+        assert abs(soft_mask(p * length, p, g, length, "high") - 0.5) \
             <= 1e-12
 
     # steep-slope limit agrees with the hard cutoff away from the boundary
@@ -100,8 +100,8 @@ def test_c02_mask_algebra():
         j = np.arange(length)
         keep = np.abs(j - p * length) >= 1.0
         for side in ("low", "high"):
-            soft = soft_mask(j, p, 1e4, length, side, "literal")
-            hard = hard_mask(j, p, length, side, "literal")
+            soft = soft_mask(j, p, 1e4, length, side)
+            hard = hard_mask(j, p, length, side)
             assert np.array_equal(np.round(soft[keep]), hard[keep])
     elapsed = time.time() - start
     assert elapsed < 10.0

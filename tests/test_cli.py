@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -131,7 +133,7 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "effective hyperparameters" in stdout
         for name in ("model.scdn", "trace.csv", "run.manifest",
-                     "metrics_val.txt", "metrics_val.kv"):
+                     "metrics_val.txt", "metrics_val.json"):
             assert (out_dir / name).exists()
         manifest = json.loads((out_dir / "run.manifest").read_text())
         assert manifest["hyper.epochs"] == "2"
@@ -180,7 +182,7 @@ class TestTrain:
             d1, d2 = tmp_path / f"{precision}-1", tmp_path / f"{precision}-2"
             assert main(args(str(d1))) == 0
             assert main(args(str(d2))) == 0
-            for name in ("model.scdn", "trace.csv", "metrics_val.kv",
+            for name in ("model.scdn", "trace.csv", "metrics_val.json",
                          "metrics_val.txt"):
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -339,23 +341,23 @@ class TestEval:
                      "--data", micro_dataset, "--split", "val",
                      "--out", str(out)]) == 0
         assert out.exists()
-        assert "macro_f1=" in (tmp_path / "metrics.txt.kv").read_text()
+        assert "macro_f1" in json.loads((tmp_path / "metrics.txt.json").read_text())
 
-    def test_out_ending_in_kv_keeps_both_reports(self, micro_dataset,
-                                                 tmp_path, capsys):
+    def test_out_ending_in_json_keeps_both_reports(self, micro_dataset,
+                                                   tmp_path, capsys):
         run = tmp_path / "run"
         main(["train", "--data", micro_dataset, "--out-dir", str(run),
               "--epochs", "1", "--batch", "8", "--stage-widths", "4,8",
               "--seed", "3"])
         capsys.readouterr()
-        out = tmp_path / "report.kv"
+        out = tmp_path / "report.json"
         assert main(["eval", "--model", str(run / "model.scdn"),
                      "--data", micro_dataset, "--out", str(out)]) == 0
         text = out.read_text()
         assert text + "\n" == capsys.readouterr().out
-        assert "macro f1" in text and "macro_f1=" not in text
-        kv = (tmp_path / "report.kv.kv").read_text()
-        assert kv.startswith("accuracy=") and "macro f1" not in kv
+        assert "macro f1" in text and "macro_f1" not in text
+        doc = json.loads((tmp_path / "report.json.json").read_text())
+        assert "accuracy" in doc and "macro f1" not in str(doc)
 
 
 class TestGradcheck:
@@ -379,6 +381,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "satse1.phi" in out
         assert "head.fc" not in out
+
+    def test_phi_at_length_8_passes(self, capsys):
+        # satse1.phi's gradient here is about 5e-9, below the scale at which
+        # the loss's rounding noise lets a central difference resolve 1e-4
+        rc = main(["gradcheck", "--length", "8", "--batch", "2", "--classes",
+                   "2", "--widths", "2,4", "--param", "phi"])
+        assert rc == 0, capsys.readouterr().out
 
     def test_unknown_param_filter_errors(self, capsys):
         rc = main(["gradcheck", "--param", "nonexistent"])
@@ -543,7 +552,7 @@ class TestArgvProperty:
     @given(data=st.data())
     def test_gradcheck_argv(self, data):
         argv, bad = _flag_values(data, {
-            "--length": (st.sampled_from([16, 32, 64]), _COUNT_BAD + ["7"]),
+            "--length": (st.integers(8, 64), _COUNT_BAD + ["7"]),
             "--batch": (st.integers(2, 4), _COUNT_BAD + ["1"]),
             "--classes": (st.integers(2, 4), _COUNT_BAD + ["1"]),
             "--widths": (st.sampled_from(["2,4", "4"]),
@@ -666,6 +675,61 @@ _ABLATION_VALUES = {
     "fixed-phi": (st.sampled_from(["0.2", "0.3,0.2"]),
                   ["", "x", "0.2,y", "1.5", "0", "1", "nan", "0.2,-1"]),
 }
+
+
+class TestWholeFileWrites:
+    def test_every_command_runs_with_encoding_warnings_as_errors(self,
+                                                                 tmp_path):
+        # each text file must be written as UTF-8 by name, not in the
+        # locale's encoding
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(training.__file__)))
+        data, run = tmp_path / "micro.ecgb", tmp_path / "run"
+        report, table = tmp_path / "report.txt", tmp_path / "table.txt"
+        small = ["--epochs", "1", "--stage-widths", "4,8"]
+        for argv in (
+            ["synth", "--classes", "3", "--n", "12", "--length", "64",
+             "--out", str(data)],
+            ["train", "--data", str(data), "--out-dir", str(run), *small],
+            ["eval", "--model", str(run / "model.scdn"), "--data", str(data),
+             "--out", str(report)],
+            ["ablate", "--axis", "satse-count", "--values", "0,1", "--data",
+             str(data), "--out", str(table), *small],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W",
+                 "error::EncodingWarning", "-m", "scdnn.cli", *argv],
+                env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        for name in ("model.scdn", "trace.csv", "run.manifest",
+                     "metrics_val.txt", "metrics_val.json"):
+            assert (run / name).stat().st_size > 0, name
+        assert "finished_unix" in json.loads((run / "run.manifest").read_text())
+        for path in (data, report, tmp_path / "report.txt.json", table):
+            assert path.stat().st_size > 0, path
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("write", [
+        lambda path, seed: write_ecgb(
+            EcgDataset([], [f"class{seed}", "b"], 1), path),
+        lambda path, seed: save_model(
+            build_model(tiny_config(n_classes=2 + seed), seed=seed), path),
+        lambda path, seed: write_manifest(path, {"seed": seed}),
+    ], ids=["ecgb", "model", "manifest"])
+    def test_failed_rename_keeps_the_old_file_and_no_temporary(
+            self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact"
+        write(path, 0)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("no room")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="no room"):
+            write(path, 1)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["artifact"]
 
 
 class TestManifest:

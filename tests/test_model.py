@@ -802,6 +802,50 @@ class TestFullModelGradients:
     def test_gradcheck_of_other_wiring(self, overrides):
         self._gradcheck(tiny_config(input_length=32, **overrides))
 
+    def test_error_planted_above_the_rounding_floor_fails(self, monkeypatch):
+        # In the configuration whose satse1.phi gradient falls below
+        # grad_check's rounding floor, a 1e-3 relative error planted in one
+        # SATSE weight component whose gradient is above that floor fails.
+        from scdnn.autodiff import _ROUNDING_FLOOR, grad_check
+        from scdnn.cli import _randomize_for_gradcheck, gradcheck_loss
+
+        cfg = tiny_config(n_classes=2, input_length=8, widths=(2, 4))
+        m = build_model(cfg, seed=0)
+        _randomize_for_gradcheck(m, 0)
+        rng = np.random.default_rng([0, 3])
+        loss = gradcheck_loss(m, rng.normal(size=(2, cfg.n_leads, 8)),
+                              rng.integers(0, 2, size=2))
+        target = m.satse[1]
+        weight = target.weight_re
+        params = {"satse2.weight_re": weight}
+        assert grad_check(loss, params).passed
+        floor = _ROUNDING_FLOOR * abs(loss().data.item()) / 1e-6
+        component = int(np.argmax(np.abs(weight.grad)))
+        assert abs(weight.grad.flat[component]) > 10 * floor
+
+        forward = SatseBlock.forward
+
+        def planted(block, x):
+            out = forward(block, x)
+            if block is not target:
+                return out
+            backward = out._backward
+
+            def wrong(g):
+                grads = list(backward(g))
+                grads[3] = grads[3].copy()
+                grads[3].flat[component] *= 1 + 1e-3
+                return tuple(grads)
+
+            out._backward = wrong
+            return out
+
+        monkeypatch.setattr(SatseBlock, "forward", planted)
+        report = grad_check(loss, params)
+        assert not report.passed
+        assert report.max_rel_error["satse2.weight_re"] == pytest.approx(
+            1e-3, rel=0.01)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_real32_gradients_match_real64(self, seed):
         # grad_check needs float64, so the float32 backward is checked

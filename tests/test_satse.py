@@ -126,7 +126,7 @@ def gradient_scales(block, x, upstream):
     lam_high = abs(float(block.lambda_high.data))
     bins = effective_bins(length, block.mask_index_mode)
     offset = bins - phi * length
-    high = soft_mask(bins, phi, gamma, length, "high", "literal")
+    high = soft_mask(bins, phi, gamma, length, "high")
     low = 1.0 - high
     # |dK| term by term: sum over the batch of |dft(g)| * |dft(x)| / L
     dk = (np.abs(np.fft.fft(upstream)) * np.abs(np.fft.fft(x))).sum(axis=0) / length
@@ -162,26 +162,26 @@ class TestMasks:
         x = rng.uniform(-50, 150, size=5000)
         phi = rng.uniform(0.01, 0.99)
         gamma = rng.uniform(0.01, 50)
-        low = soft_mask(x, phi, gamma, 100, "low", "literal")
-        high = soft_mask(x, phi, gamma, 100, "high", "literal")
+        low = soft_mask(x, phi, gamma, 100, "low")
+        high = soft_mask(x, phi, gamma, 100, "high")
         assert np.abs(low + high - 1.0).max() <= 1e-15
 
     def test_half_at_cutoff(self):
         for length in (10, 37, 512):
             for phi in (0.1, 0.4, 0.77):
-                v = soft_mask(phi * length, phi, 3.3, length, "high", "literal")
+                v = soft_mask(phi * length, phi, 3.3, length, "high")
                 assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_steep_slope_passes_low_bins(self):
         phi, length = 0.6, 100
-        v = soft_mask(phi * length - 10, phi, 1000.0, length, "low", "literal")
+        v = soft_mask(phi * length - 10, phi, 1000.0, length, "low")
         assert v > 1.0 - 1e-9
 
     def test_hard_mask_examples(self):
-        assert hard_mask(2, 0.5, 10, "low", "literal") == 1.0
-        assert hard_mask(2, 0.5, 10, "high", "literal") == 0.0
-        assert hard_mask(9, 0.5, 10, "low", "literal") == 0.0
-        assert hard_mask(9, 0.5, 10, "high", "literal") == 1.0
+        assert hard_mask(2, 0.5, 10, "low") == 1.0
+        assert hard_mask(2, 0.5, 10, "high") == 0.0
+        assert hard_mask(9, 0.5, 10, "low") == 0.0
+        assert hard_mask(9, 0.5, 10, "high") == 1.0
 
     def test_hard_equals_rounded_steep_soft_away_from_cutoff(self):
         rng = np.random.default_rng(1)
@@ -191,8 +191,8 @@ class TestMasks:
             j = np.arange(length)
             keep = np.abs(j - phi * length) >= 1.0
             for side in ("low", "high"):
-                soft = soft_mask(j, phi, 1e4, length, side, "literal")
-                hard = hard_mask(j, phi, length, side, "literal")
+                soft = soft_mask(j, phi, 1e4, length, side)
+                hard = hard_mask(j, phi, length, side)
                 assert np.array_equal(np.round(soft[keep]), hard[keep])
 
     def test_symmetric_bins_mirror(self):
@@ -277,7 +277,7 @@ class TestSatseForward:
             x = rng.normal(size=length)
             spec = dft(x)
             bins = effective_bins(length, "symmetric")
-            mask = soft_mask(bins, 0.3, 2.5, length, "low", "literal")
+            mask = soft_mask(bins, 0.3, 2.5, length, "low")
             rec = idft(spec * mask)
             assert np.abs(rec.imag).max() < 1e-9
 

@@ -1,5 +1,7 @@
+import json
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,8 +428,14 @@ class TestMetrics:
         rep = metrics_from_confusion([[2, 0], [1, 1]])
         text = rep.to_text(["aa", "bb"])
         assert "macro f1" in text and "confusion" in text and "aa" in text
-        kv = rep.to_keyvalues()
-        assert "macro_f1=" in kv and "confusion0=2,0" in kv
+        doc = json.loads(rep.to_json())
+        assert doc["macro_f1"] == rep.macro_f1
+        assert doc["confusion"] == [[2, 0], [1, 1]]
+        assert doc["per_class"][1] == {"precision": 1.0, "recall": 0.5,
+                                       "f1": 2 / 3, "support": 2}
+        assert doc["zero_division_classes"] == []
+        with pytest.raises(ValueError):
+            replace(rep, macro_f1=float("nan")).to_json()
 
 
 @pytest.fixture
