@@ -46,7 +46,6 @@ from .model import (
 from .training import (
     ABLATION_AXES,
     Hyperparams,
-    _config_for,
     _loss_of,
     _train_records,
     evaluate,
@@ -130,9 +129,9 @@ def _field_type(cls, name):
 _HYPER_FLAGS = {"--epochs": "epochs", "--batch": "batch_size", "--lr": "lr",
                 "--wd": "weight_decay", "--lr-drop-epoch": "lr_drop_epoch",
                 "--lr-drop-factor": "lr_drop_factor", "--seed": "seed"}
-_MODEL_FLAGS = {"--backbone": "backbone", "--fixed-phi": "fixed_phi",
-                "--phi-init": "phi_init", "--gamma-init": "gamma_init",
-                "--mask-mode": "mask_index_mode",
+_MODEL_FLAGS = {"--backbone": "backbone", "--satse-blocks": "satse_blocks",
+                "--fixed-phi": "fixed_phi", "--phi-init": "phi_init",
+                "--gamma-init": "gamma_init", "--mask-mode": "mask_index_mode",
                 "--stage-widths": "stage_widths", "--precision": "precision"}
 
 
@@ -142,10 +141,6 @@ def _add_field_args(p):
         for flag, name in flags.items():
             p.add_argument(flag, dest=name, type=_field_type(cls, name),
                            default=argparse.SUPPRESS)
-    first = _checked(lambda text: ModelConfig.first_satse_blocks(int(text)))
-    p.add_argument("--satse-blocks", dest="satse_blocks_enabled", metavar="N",
-                   type=first, default=argparse.SUPPRESS,
-                   help="enable the first N spectral blocks (0-4)")
     p.add_argument("--double-softmax", action="store_true",
                    default=argparse.SUPPRESS)
     p.add_argument("--no-stem-maxpool", dest="stem_maxpool",
@@ -341,11 +336,9 @@ def cmd_gradcheck(args):
 
 def cmd_ablate(args):
     axis = args.axis.replace("-", "_")
-    def check(values):  # by the field's own rule, on a config of defaults
-        for value in values:
-            _config_for(ModelConfig(n_classes=1), axis, value)
-    try:
-        values = _comma_list(ABLATION_AXES[axis], check)(args.values)
+    try:  # each item by its field's rule, as the field's flag reads it
+        values = _comma_list(_field_type(ModelConfig, ABLATION_AXES[axis]))(
+            args.values)
     except argparse.ArgumentTypeError as exc:
         args.usage_error(f"argument --values: {exc}")
     hyper = Hyperparams(**_flags_for(args, Hyperparams))
@@ -425,12 +418,12 @@ def _build_parser():
     p.add_argument("--axis", required=True,
                    choices=[axis.replace("_", "-") for axis in ABLATION_AXES])
     p.add_argument("--values", required=True,
-                   help="comma-separated values of the axis's type")
+                   help="comma-separated values of the axis's field")
     p.add_argument("--data", required=True)
     p.add_argument("--repeats", type=_at_least(1), default=1)
     p.add_argument("--out")
     _add_field_args(p)
-    # --values is converted by --axis's type once both are parsed
+    # --values is converted by --axis's field once both are parsed
     p.set_defaults(func=cmd_ablate, usage_error=p.error)
     return parser
 

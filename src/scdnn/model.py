@@ -124,14 +124,16 @@ class ModelConfig:
     """Complete architecture description; serializable as key=value lines.
 
     `stage_widths` holds one width per stage, so its length is the stage
-    count (1 to 4). `precision` "real32" keeps the model in float32,
-    spectral blocks included: they transform in complex64 on numpy >= 2.
+    count (1 to 4). SATSE blocks sit on the outputs of the first
+    `satse_blocks` stages; a count past the last stage builds no more.
+    `precision` "real32" keeps the model in float32, spectral blocks
+    included: they transform in complex64 on numpy >= 2.
     """
 
     n_classes: int
     n_leads: int = 12
     backbone: str = "resnet18"
-    satse_blocks_enabled: tuple[bool, ...] = (True, True, True, True)
+    satse_blocks: int = 4
     fixed_phi: float | None = None
     mask_index_mode: str = "symmetric"
     double_softmax: bool = False
@@ -143,7 +145,6 @@ class ModelConfig:
     gamma_init: float = 0.5
 
     def __post_init__(self):
-        self.satse_blocks_enabled = tuple(bool(v) for v in self.satse_blocks_enabled)
         self.stage_widths = tuple(int(v) for v in self.stage_widths)
         self.validate()
 
@@ -163,8 +164,9 @@ class ModelConfig:
                             self.mask_index_mode, "fixed_phi")
         if self.precision not in PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(PRECISIONS)}")
-        if len(self.satse_blocks_enabled) != 4:
-            raise ValueError("satse_blocks_enabled must list 4 booleans")
+        if not 0 <= self.satse_blocks <= 4:
+            raise ValueError(f"satse block count must be 0..4, got "
+                             f"{self.satse_blocks}")
         if not 1 <= len(self.stage_widths) <= 4:
             raise ValueError(f"stage_widths must list 1 to 4 stages, got "
                              f"{self.stage_widths}")
@@ -188,7 +190,7 @@ class ModelConfig:
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, tuple):
-                v = ",".join(str(int(x)) if isinstance(x, bool) else str(x) for x in v)
+                v = ",".join(map(str, v))
             lines.append(f"{f.name}={v}")
         return "\n".join(lines) + "\n"
 
@@ -218,16 +220,9 @@ class ModelConfig:
             raise ValueError(f"unknown config keys: {sorted(raw)}")
         return cls(**kwargs)
 
-    @staticmethod
-    def first_satse_blocks(count):
-        """`satse_blocks_enabled` with the first `count` of the four blocks on."""
-        if not 0 <= count <= 4:
-            raise ValueError(f"satse block count must be 0..4, got {count}")
-        return tuple(i < count for i in range(4))
-
     def with_satse_count(self, count):
-        """Enable the first `count` blocks, front stages first."""
-        return replace(self, satse_blocks_enabled=self.first_satse_blocks(count))
+        """This config with SATSE blocks on the first `count` stages."""
+        return replace(self, satse_blocks=count)
 
 
 def tiny_config(n_classes=3, n_leads=12, input_length=64, widths=(4, 8),
@@ -325,7 +320,7 @@ class ScdnnModel:
             length = _conv_out_len(length, 3, stride, 1)
             self.stages.append(blocks)
             self.stage_shapes.append((c_in, length))
-            if config.satse_blocks_enabled[s]:
+            if s < config.satse_blocks:
                 self.satse.append(
                     SatseBlock(
                         c_in,

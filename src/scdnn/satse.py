@@ -80,12 +80,15 @@ def stable_sigmoid(z):
 
 def _check_settings(phi_init, gamma_init, mask_index_mode, phi_key="phi_init"):
     """Refuse a starting cutoff ratio outside (0, 1), named `phi_key` in the
-    message, a slope below GAMMA_MIN, or an unknown mask index mode."""
+    message, a slope below GAMMA_MIN or infinite, or an unknown mask index
+    mode."""
     if not 0.0 < phi_init < 1.0:
         raise ValueError(f"{phi_key} must lie in (0, 1), got {phi_init}")
     if not gamma_init >= GAMMA_MIN:
         raise ValueError(f"gamma_init must be at least {GAMMA_MIN}, got "
                          f"{gamma_init}")
+    if gamma_init == np.inf:  # a hard mask: its phi gradient is inf * 0
+        raise ValueError(f"gamma_init must be finite, got {gamma_init}")
     effective_bins(0, mask_index_mode)  # refuses an unknown mode
 
 

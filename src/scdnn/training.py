@@ -382,8 +382,9 @@ def evaluate(model, dataset, split="test", batch_size=64):
 
 # -- ablations -----------------------------------------------------------------
 
-# ablation axis -> the type of its values
-ABLATION_AXES = {"satse_count": int, "fixed_phi": float, "depth": str}
+# ablation axis -> the ModelConfig field it sweeps
+ABLATION_AXES = {"satse_count": "satse_blocks", "fixed_phi": "fixed_phi",
+                 "depth": "backbone"}
 
 _METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
@@ -417,29 +418,21 @@ class AblationTable:
         return buf.getvalue()
 
 
-def _config_for(base_config, axis, value):
-    if axis == "satse_count":
-        return base_config.with_satse_count(value)
-    if axis == "fixed_phi":
-        return replace(base_config, fixed_phi=value)
-    return replace(base_config, backbone=value)
-
-
 def run_ablation(base_config, axis, values, dataset, hyper, repeats=1):
     """Train one model per (value, repeat) and tabulate mean +- std test
     metrics.
 
     All values share the same seed sequence: repeat r uses hyper.seed + r,
-    so rows differ only in the configuration under study. Values are
-    converted to the axis' type from ABLATION_AXES, so text is accepted.
+    so rows differ only in the configuration under study. Each value is
+    set as the field that ABLATION_AXES names for `axis`, as given.
     """
     if axis not in ABLATION_AXES:
         raise ValueError(f"unknown ablation axis {axis!r}; "
                          f"choose from {list(ABLATION_AXES)}")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    configs = [(value, _config_for(base_config, axis, value))
-               for value in map(ABLATION_AXES[axis], values)]
+    configs = [(value, replace(base_config, **{ABLATION_AXES[axis]: value}))
+               for value in values]
     _train_records(dataset, "test")
     rows = []
     for value, config in configs:

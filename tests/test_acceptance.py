@@ -322,7 +322,7 @@ def test_c09_ablation_harness():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 12, 64))
     zero_blocks = build_model(base.with_satse_count(0), seed=9)
-    plain = build_model(tiny_config(satse_blocks_enabled=(False,) * 4), seed=9)
+    plain = build_model(tiny_config(satse_blocks=0), seed=9)
     assert np.array_equal(zero_blocks.forward(x, "eval").data,
                           plain.forward(x, "eval").data)
     elapsed = time.time() - start

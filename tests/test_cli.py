@@ -235,6 +235,18 @@ class TestTrain:
         model = load_model(d / "model.scdn")
         assert model.config.phi_init == 0.3
 
+    def test_config_file_with_a_retired_key_is_refused_naming_it(
+            self, micro_dataset, tmp_path, capsys):
+        # the per-stage switches that the block count replaced
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("n_classes=3\nsatse_blocks_enabled=1,1,1,1\n")
+        d = tmp_path / "cfgrun"
+        assert main(["train", "--data", micro_dataset, "--out-dir", str(d),
+                     "--epochs", "1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: ['satse_blocks_enabled']\n")
+        assert not d.exists()
+
     def test_config_file_of_class_count_and_widths_trains(self, micro_dataset,
                                                           tmp_path):
         # the widths alone give the stage count
@@ -305,7 +317,7 @@ class TestTrain:
             "hyper.lr_drop_factor": "5.0", "hyper.seed": "4",
             "config.n_classes": "3", "config.n_leads": "12",
             "config.backbone": "resnet34",
-            "config.satse_blocks_enabled": "1,1,0,0",
+            "config.satse_blocks": "2",
             "config.fixed_phi": "0.3", "config.mask_index_mode": "literal",
             "config.double_softmax": "True", "config.stem_maxpool": "False",
             "config.precision": "real32", "config.input_length": "64",
@@ -444,6 +456,15 @@ class TestAblate:
         data_rows = [l for l in lines if l.strip() and l.strip()[0].isdigit()]
         assert len(data_rows) == 5
 
+    def test_fixed_phi_axis_takes_none_for_a_trained_phi(self, micro_dataset,
+                                                         capsys):
+        rc = main(["ablate", "--axis", "fixed-phi", "--values", "None,0.3",
+                   "--data", micro_dataset, "--epochs", "1", "--batch", "8",
+                   "--stage-widths", "4,8", "--seed", "0"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[2:4]
+        assert [row.split()[0] for row in rows] == ["None", "0.3"]
+
     @pytest.mark.parametrize("axis, values", [
         ("satse-count", "x"), ("satse-count", "0,1.5"), ("fixed-phi", "0.2,y"),
         ("fixed-phi", "1.5"), ("satse-count", "5"), ("depth", "resnet99"),
@@ -509,7 +530,7 @@ _SEED_BAD = ["", "x", "1.5", "-1"]
 
 
 # Each train flag that takes its field's text, and the field it sets;
-# --satse-blocks takes a count, and the switches take no text.
+# the switches take no text.
 _TRAIN_FIELD_FLAGS = {
     **{flag: (Hyperparams, name) for flag, name in _HYPER_FLAGS.items()},
     **{flag: (ModelConfig, name) for flag, name in _MODEL_FLAGS.items()},
@@ -601,7 +622,8 @@ class TestArgvProperty:
                                ["", "x", "4,x", "0,4", "4,4,4,4,4"]),
             "--phi-init": (st.sampled_from([0.2, 0.5]),
                            ["", "x", "0", "1", "nan"]),
-            "--gamma-init": (st.sampled_from([0.5, 2.0]), ["", "x", "0", "nan"]),
+            "--gamma-init": (st.sampled_from([0.5, 2.0]),
+                             ["", "x", "0", "nan", "inf"]),
             "--fixed-phi": (st.sampled_from([None, 0.3]), ["", "x", "1.5"]),
             "--mask-mode": (st.sampled_from(["literal", "symmetric"]),
                             ["", "x"]),
@@ -672,7 +694,7 @@ def _key_refusal(cls, name, text):
 _ABLATION_VALUES = {
     "satse-count": (st.sampled_from(["0", "1", "1,0"]),
                     ["", "x", "1.5", "0,x", "0,", "5", "-1", "0,5"]),
-    "fixed-phi": (st.sampled_from(["0.2", "0.3,0.2"]),
+    "fixed-phi": (st.sampled_from(["0.2", "0.3,0.2", "None,0.2"]),
                   ["", "x", "0.2,y", "1.5", "0", "1", "nan", "0.2,-1"]),
 }
 
@@ -819,6 +841,7 @@ class TestErrors:
         ("--phi-init", "2", "phi_init must lie in (0, 1), got 2.0"),
         ("--fixed-phi", "0", "fixed_phi must lie in (0, 1), got 0.0"),
         ("--gamma-init", "0", "gamma_init must be at least 0.001, got 0.0"),
+        ("--gamma-init", "inf", "gamma_init must be finite, got inf"),
     ])
     def test_bad_initial_value_refused_before_the_manifest(
             self, micro_dataset, tmp_path, capsys, flag, value, message):

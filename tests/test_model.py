@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from byte_edits import edited
 from reference_ops import add
 from scdnn.autodiff import ShapeError, Tensor
+from scdnn.data import stratified_split, synth_generate
 from scdnn.layers import BatchNorm1d, cross_entropy, relu
 from scdnn.model import (
     BACKBONES,
@@ -24,7 +25,7 @@ from scdnn.model import (
     tiny_config,
 )
 from scdnn.satse import GAMMA_MIN, MASK_INDEX_MODES, SatseBlock
-from scdnn.training import _loss_of
+from scdnn.training import Hyperparams, _loss_of, train
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def tiny_model_file(tmp_path_factory):
 class TestConfig:
     def test_text_roundtrip(self):
         cfg = ModelConfig(n_classes=5, backbone="resnet34", fixed_phi=0.2,
-                          input_length=512, satse_blocks_enabled=(1, 1, 0, 0),
+                          input_length=512, satse_blocks=2,
                           stage_widths=(8, 16), double_softmax=True)
         back = ModelConfig.from_text(cfg.to_text())
         assert back == cfg
@@ -79,7 +80,7 @@ class TestConfig:
 
     def test_satse_count_helper(self):
         cfg = ModelConfig(n_classes=2).with_satse_count(2)
-        assert cfg.satse_blocks_enabled == (True, True, False, False)
+        assert cfg.satse_blocks == 2
 
     @pytest.mark.parametrize("count", [-1, 5])
     def test_satse_count_out_of_range_rejected(self, count):
@@ -95,6 +96,7 @@ class TestConfig:
         ({"gamma_init": 0.0}, "gamma_init must be at least 0.001, got 0.0"),
         ({"gamma_init": float("nan")}, "gamma_init must be at least"),
         ({"fixed_phi": 0.3, "phi_init": 5.0}, "phi_init must lie in"),
+        ({"gamma_init": float("inf")}, "^gamma_init must be finite, got inf$"),
     ])
     def test_initial_phi_and_gamma_checked(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -132,7 +134,6 @@ class TestConfig:
         "double_softmax=yes",
         "double_softmax=",
         "stem_maxpool=TRUE",
-        "satse_blocks_enabled=1,x,2,0",
     ])
     def test_malformed_boolean_rejected(self, line):
         with pytest.raises(ValueError):
@@ -140,10 +141,8 @@ class TestConfig:
 
     def test_boolean_spellings_accepted(self):
         cfg = ModelConfig.from_text(
-            "n_classes=3\ndouble_softmax=true\nstem_maxpool=False\n"
-            "satse_blocks_enabled=0,True,false,1\n")
+            "n_classes=3\ndouble_softmax=true\nstem_maxpool=False\n")
         assert cfg.double_softmax and not cfg.stem_maxpool
-        assert cfg.satse_blocks_enabled == (False, True, False, True)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -152,7 +151,7 @@ class TestConfig:
             n_classes=data.draw(st.integers(1, 10_000)),
             n_leads=data.draw(st.integers(1, 64)),
             backbone=data.draw(st.sampled_from(sorted(BACKBONES))),
-            satse_blocks_enabled=data.draw(st.tuples(*[st.booleans()] * 4)),
+            satse_blocks=data.draw(st.integers(0, 4)),
             fixed_phi=data.draw(st.none() | st.floats(
                 0.0, 1.0, exclude_min=True, exclude_max=True)),
             mask_index_mode=data.draw(st.sampled_from(MASK_INDEX_MODES)),
@@ -177,7 +176,7 @@ class TestConfig:
         ("n_classes=None", "n_classes"),
         ("n_classes=3\ngamma_init=None", "gamma_init"),
         ("n_classes=3\ndouble_softmax=None", "double_softmax"),
-        ("n_classes=3\nsatse_blocks_enabled=None", "satse_blocks_enabled"),
+        ("n_classes=3\nsatse_blocks=None", "satse_blocks"),
         ("n_classes=3\nstage_widths=2.0", "stage_widths"),
         ("n_classes=3\nstage_widths=4,,8", "stage_widths"),
         ("phi_init=0.3", "n_classes"),
@@ -260,12 +259,34 @@ class TestBuild:
 
     def test_satse_parameter_count_delta(self):
         with_satse = build_model(tiny_config(), seed=0)
-        without = build_model(
-            tiny_config(satse_blocks_enabled=(False,) * 4), seed=0
-        )
+        without = build_model(tiny_config(satse_blocks=0), seed=0)
         delta = with_satse.parameter_count() - without.parameter_count()
         expected = sum(2 * c * l + 4 for c, l in with_satse.stage_shapes)
         assert delta == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_stages=st.integers(1, 4), count=st.integers(0, 4),
+           phi=st.sampled_from([0.2, 0.4]), gamma=st.sampled_from([0.5, 2.0]))
+    def test_blocks_sit_on_the_first_stages(self, n_stages, count, phi, gamma):
+        config = tiny_config(n_classes=2, n_leads=2, input_length=32,
+                             widths=(2,) * n_stages, satse_blocks=count,
+                             phi_init=phi, gamma_init=gamma)
+        model = build_model(config, seed=0)
+        on = [s < count for s in range(n_stages)]
+        assert [b is not None for b in model.satse] == on
+        assert {name.split(".")[0] for name in model.named_parameters()
+                if name.startswith("satse")} == {
+            f"satse{s + 1}" for s in range(n_stages) if on[s]}
+        # row 0 before any update, row 1 after one epoch of them
+        ds = stratified_split(synth_generate(4, 2, n_leads=2, length=32),
+                              (0.5, 0.25, 0.25))
+        rows = train(model, ds, Hyperparams(epochs=2, batch_size=4, lr=1e-2,
+                                            lr_drop_epoch=2)).rows
+        for s in range(4):
+            first, after = ((row.phi[s], row.gamma[s], row.lam_low[s],
+                             row.lam_high[s]) for row in rows)
+            assert first == (phi, gamma, 0.0, 0.0)
+            assert (after == first) == (s >= min(count, n_stages))
 
     def test_unsupported_backbone_fails(self):
         with pytest.raises(ValueError, match="backbone"):
@@ -355,9 +376,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 12, 64))
         enabled = build_model(tiny_config(), seed=7)
-        disabled = build_model(
-            tiny_config(satse_blocks_enabled=(False,) * 4), seed=7
-        )
+        disabled = build_model(tiny_config(satse_blocks=0), seed=7)
         a = enabled.forward(x, "eval").data
         b = disabled.forward(x, "eval").data
         assert np.array_equal(a, b)
@@ -492,14 +511,14 @@ class TestPersistence:
         "resnet18": (
             ModelConfig(n_classes=5, backbone="resnet18", input_length=128,
                         stage_widths=(4, 8, 12, 16),
-                        satse_blocks_enabled=(True, False, True, True)),
-            "49c40067949997f8735441c926e75e9d99c86da8829319e761bafe6612791e33",
+                        satse_blocks=3),
+            "7ce1ba9afd338912a427edc6a4cee0cf7bc11e40eb5694d49787a09c409bd14f",
         ),
         "resnet50": (
             ModelConfig(n_classes=3, n_leads=2, backbone="resnet50",
                         input_length=96, stage_widths=(2, 4, 6),
                         precision="real32"),
-            "dff5565fdb4c334efc8d0212e0f386a7ddbfefdfc5b0de7aef5ad2716425eaea",
+            "4d997ad14f0c174ec58fc18e7fc2272c305284b7a0f6af0e05070385a21e7ced",
         ),
     }
 
@@ -573,9 +592,11 @@ class TestPersistence:
         with pytest.raises(ModelIOError, match="'n_classes' repeated on lines"):
             load_model(path)
 
-    # files from before the stage count came from stage_widths, and from
-    # before every block kept its own branch gains
-    @pytest.mark.parametrize("line", ["n_stages=2", "tie_lambdas=0"])
+    # files from before the stage count came from stage_widths, from before
+    # every block kept its own branch gains, and from before the blocks were
+    # set by one count
+    @pytest.mark.parametrize("line", ["n_stages=2", "tie_lambdas=0",
+                                      "satse_blocks_enabled=1,1,1,1"])
     def test_file_with_a_retired_key_is_refused_naming_it(self, tmp_path,
                                                           line):
         path = tmp_path / "model.scdn"

@@ -81,11 +81,7 @@ class TestReal32:
 
 
 class TestNoSatseBlock:
-    @pytest.mark.parametrize("overrides", [
-        {"satse_blocks_enabled": (False,) * 4},
-        # flags past the last stage build no block either
-        {"satse_blocks_enabled": (False, False, True, True)},
-    ])
+    @pytest.mark.parametrize("overrides", [{"satse_blocks": 0}])
     def test_registers_no_satse_parameter_and_trains(self, overrides):
         ds = toy(5)
         model = build_model(tiny_config(**overrides), seed=5)
@@ -169,7 +165,7 @@ class TestMixedLengths:
             train(model, ds, Hyperparams(epochs=1, lr_drop_epoch=1))
         # without spectral blocks the pooled head takes any one length
         plain = build_model(tiny_config(input_length=64,
-                                        satse_blocks_enabled=(False,) * 4))
+                                        satse_blocks=0))
         assert len(predict(plain, ds.records)) == len(ds.records)
 
     def test_pad_then_train_directly(self):
