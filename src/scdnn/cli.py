@@ -37,7 +37,7 @@ from .data import (
 from .model import (
     MIN_INPUT_LENGTH,
     ModelConfig,
-    _parse_field,
+    _field_text,
     build_model,
     load_model,
     save_model,
@@ -116,13 +116,12 @@ def _at_least(minimum, kind=int, maximum=np.inf):
 
 
 def _field_type(cls, name):
-    """An argparse type for field `name` of dataclass `cls`: the text is read
-    as a config file reads it, then checked by building `cls` with that field
-    alone (and, for ModelConfig, the class count it requires)."""
-    field = next(f for f in fields(cls) if f.name == name)
+    """An argparse type for field `name` of dataclass `cls`: the value the
+    field takes in `cls` built from the text alone (with, for ModelConfig, the
+    class count it requires), so the text is read and checked as a config
+    file's is."""
     required = {"n_classes": 1} if cls is ModelConfig else {}
-    return _checked(lambda text: _parse_field(field, text),
-                    lambda value: cls(**required, **{name: value}))
+    return _checked(lambda text: getattr(cls(**required, **{name: text}), name))
 
 
 # flag -> the field it sets, for each flag that takes its field's text
@@ -226,11 +225,9 @@ def cmd_train(args):
         "model_path": os.path.abspath(model_path),
         "trace_path": os.path.abspath(trace_path),
     }
-    for k, v in vars(hyper).items():
-        manifest[f"hyper.{k}"] = v
-    for line in config.to_text().strip().splitlines():
-        k, v = line.split("=", 1)
-        manifest[f"config.{k}"] = v
+    for prefix, obj in (("hyper", hyper), ("config", config)):
+        for k, v in vars(obj).items():
+            manifest[f"{prefix}.{k}"] = _field_text(v)
     write_manifest(manifest_path, manifest)
 
     model = build_model(config, seed=hyper.seed)
@@ -286,11 +283,11 @@ def _randomize_for_gradcheck(model, seed):
             sat.phi.data[...] = rng.uniform(0.25, 0.55)
         sat.gamma.data[...] = rng.uniform(0.5, 1.5)
     for name, p in model.named_parameters().items():
-        if ".bn" in name and p.requires_grad:
-            if name.endswith(".scale"):
-                p.data += rng.uniform(-0.2, 0.2, p.data.shape)
-            else:
-                p.data += rng.normal(0, 0.1, p.data.shape)
+        attr = name.rsplit(".", 1)[1]
+        if attr == "scale":
+            p.data += rng.uniform(-0.2, 0.2, p.data.shape)
+        elif attr == "shift":
+            p.data += rng.normal(0, 0.1, p.data.shape)
 
 
 def gradcheck_loss(model, batch, labels):

@@ -115,8 +115,22 @@ def _parse_field(f, text):
         kind = get_args(kind)[0]
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
-        return tuple(_convert(f.name, item, v) for v in text.split(","))
+        return tuple(_convert(f.name, item, v)
+                     for v in (text.split(",") if text else ()))
     return _convert(f.name, kind, text)
+
+
+def _field_text(value):
+    """A field value as config text: a tuple or list as a comma list."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _read_fields(obj):
+    """Set each field of dataclass `obj` to what its config text reads as."""
+    for f in fields(obj):
+        setattr(obj, f.name, _parse_field(f, _field_text(getattr(obj, f.name))))
 
 
 @dataclass
@@ -145,10 +159,7 @@ class ModelConfig:
     gamma_init: float = 0.5
 
     def __post_init__(self):
-        self.stage_widths = tuple(int(v) for v in self.stage_widths)
-        self.validate()
-
-    def validate(self):
+        _read_fields(self)
         if self.n_classes < 1:
             raise ValueError("at least one class is required")
         if self.n_leads < 1:
@@ -186,13 +197,8 @@ class ModelConfig:
         return PRECISIONS[self.precision]
 
     def to_text(self):
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(map(str, v))
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={_field_text(getattr(self, f.name))}\n"
+                       for f in fields(self))
 
     @classmethod
     def from_text(cls, text):
@@ -210,15 +216,13 @@ class ModelConfig:
                     f"config key {k!r} repeated on lines {where[k]} and {lineno}"
                 )
             raw[k], where[k] = v, lineno
-        kwargs = {}
         for f in fields(cls):
-            if f.name in raw:
-                kwargs[f.name] = _parse_field(f, raw.pop(f.name))
-            elif f.default is MISSING:
+            if f.default is MISSING and f.name not in raw:
                 raise ValueError(f"config key {f.name!r} is missing")
-        if raw:
-            raise ValueError(f"unknown config keys: {sorted(raw)}")
-        return cls(**kwargs)
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**raw)
 
     def with_satse_count(self, count):
         """This config with SATSE blocks on the first `count` stages."""
@@ -483,8 +487,8 @@ def _file_error(offset, message):
 
 def _read_entries(r):
     """Parse every entry into {name: array}, checking the file's structure:
-    truncation, UTF-8 names, dtype codes, ranks, repeated names and
-    trailing bytes."""
+    truncation, UTF-8 names, dtype codes, ranks, repeated names, non-finite
+    values and trailing bytes."""
     entries = {}
     for _ in range(r.u32("entry count")):
         name = r.text("entry name")
@@ -500,8 +504,14 @@ def _read_entries(r):
         count = math.prod(shape)  # a Python int: no int64 wrap-around
         dtype = _CODE_DTYPES[code]
         raw = r.take(count * dtype.itemsize, f"values of {name!r}")
+        values = np.frombuffer(raw, dtype=dtype)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ModelIOError(
+                f"entry {name!r} holds a non-finite value at offset "
+                f"{r.offset - len(raw) + dtype.itemsize * int(finite.argmin())}")
         try:
-            entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+            entries[name] = values.reshape(shape)
         except ValueError:  # a zero-size shape whose other dimensions overflow
             raise ModelIOError(f"entry {name!r} has shape {shape}, which numpy "
                                f"cannot hold") from None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .layers import cross_entropy, softmax
-from .model import build_model
+from .model import _read_fields, build_model
 
 __all__ = [
     "Hyperparams",
@@ -63,6 +63,7 @@ class Hyperparams:
     adam_eps = 1e-8
 
     def __post_init__(self):
+        _read_fields(self)
         inf = np.inf
         rules = (
             ("epochs", self.epochs >= 1, "at least 1"),

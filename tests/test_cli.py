@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,13 +14,13 @@ from scdnn import training
 from scdnn.cli import (
     _HYPER_FLAGS,
     _MODEL_FLAGS,
+    _randomize_for_gradcheck,
     main,
     write_manifest,
 )
 from scdnn.data import EcgDataset, read_ecgb, write_ecgb
 from scdnn.model import (
     ModelConfig,
-    _parse_field,
     build_model,
     load_model,
     save_model,
@@ -401,6 +400,17 @@ class TestGradcheck:
                    "2", "--widths", "2,4", "--param", "phi"])
         assert rc == 0, capsys.readouterr().out
 
+    @pytest.mark.parametrize("backbone", ["resnet18", "resnet50"])
+    def test_every_batch_norm_moves_off_its_init(self, backbone):
+        model = build_model(tiny_config(widths=(2, 4), backbone=backbone))
+        _randomize_for_gradcheck(model, 0)
+        params = model.named_parameters()
+        names = [n for n in params if n.endswith((".scale", ".shift"))]
+        assert "stage2.block1.proj_bn.scale" in names
+        for name in names:
+            init = 1.0 if name.endswith(".scale") else 0.0
+            assert np.all(params[name].data != init), name
+
     def test_unknown_param_filter_errors(self, capsys):
         rc = main(["gradcheck", "--param", "nonexistent"])
         assert rc == 1
@@ -679,13 +689,12 @@ class TestArgvProperty:
 def _key_refusal(cls, name, text):
     """The message refusing `text` as field `name` of `cls`, read as a config
     file reads it, or None if it is accepted. Hyperparams has no file, so its
-    field is converted by the same converter and checked by its constructor."""
+    constructor is given the text, which it reads by the same rule."""
     try:
         if cls is ModelConfig:
             ModelConfig.from_text(f"n_classes=3\n{name}={text}\n")
         else:
-            field = next(f for f in fields(cls) if f.name == name)
-            cls(**{name: _parse_field(field, text)})
+            cls(**{name: text})
     except ValueError as exc:
         return str(exc)
     return None

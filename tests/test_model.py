@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 from dataclasses import fields, replace
 
@@ -40,6 +41,60 @@ def tiny_model_file(tmp_path_factory):
     config = tiny_config(n_classes=2, n_leads=2, input_length=16, widths=(2,))
     save_model(build_model(config, seed=0), workdir / "valid.scdn")
     return (workdir / "valid.scdn").read_bytes(), workdir / "mutant.scdn"
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    """A path for a test to write a model file to, and overwrite."""
+    return tmp_path_factory.mktemp("models") / "model.scdn"
+
+
+def _typed(valid, wrong=st.nothing()):
+    """Values of a field as (value, of a type its text rule refuses)."""
+    return valid.map(lambda v: (v, False)) | wrong.map(lambda v: (v, True))
+
+
+_NUMPY_INTS = st.sampled_from([np.int64, np.int32, np.uint8])
+_BOOLS = st.booleans() | st.booleans().map(np.bool_)
+
+
+def _ints(lo, hi):
+    """An int field's values: ints and numpy integers, or integral floats
+    and booleans, which its text rule refuses."""
+    return _typed(st.integers(lo, hi) | st.builds(lambda k, v: k(v), _NUMPY_INTS,
+                                                  st.integers(lo, hi)),
+                  st.integers(lo, hi).map(float) | _BOOLS)
+
+
+def _floats(lo, hi, ints=st.nothing()):
+    """A float field's values: floats, numpy floats and `ints`, or booleans,
+    which its text rule refuses."""
+    return _typed(st.floats(lo, hi) | st.floats(lo, hi).map(np.float64) | ints,
+                  _BOOLS)
+
+
+# ModelConfig field -> its typed values, each of which meets the field's rule
+_TYPED_FIELDS = {
+    "n_classes": _ints(1, 5),
+    "n_leads": _ints(1, 3),
+    "backbone": _typed(st.sampled_from(sorted(BACKBONES))),
+    "satse_blocks": _ints(0, 4),
+    "fixed_phi": _typed(st.none()) | _floats(0.05, 0.95),
+    "mask_index_mode": _typed(st.sampled_from(MASK_INDEX_MODES)),
+    "double_softmax": _typed(_BOOLS | st.sampled_from([0, 1]),
+                             st.integers(2, 5)),
+    "stem_maxpool": _typed(_BOOLS | st.sampled_from([0, 1]), st.integers(2, 5)),
+    "precision": _typed(st.sampled_from(["real32", "real64"])),
+    "input_length": _ints(16, 64),
+    "stage_widths": st.tuples(
+        st.lists(_ints(1, 4) | _typed(st.nothing(), st.floats(1.1, 3.9)),
+                 min_size=1, max_size=4),
+        st.sampled_from([tuple, list]),
+    ).map(lambda drawn: (drawn[1](v for v, _ in drawn[0]),
+                         any(bad for _, bad in drawn[0]))),
+    "phi_init": _floats(0.05, 0.95),
+    "gamma_init": _floats(0.001, 4.0, st.integers(1, 4)),
+}
 
 
 class TestConfig:
@@ -166,6 +221,57 @@ class TestConfig:
             gamma_init=data.draw(st.floats(GAMMA_MIN, allow_infinity=False)),
         )
         assert ModelConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("overrides, key, text", [
+        ({"satse_blocks": 2.0}, "satse_blocks", "2.0"),
+        ({"satse_blocks": True}, "satse_blocks", "True"),
+        ({"input_length": 64.0}, "input_length", "64.0"),
+        ({"widths": (4.7, 8)}, "stage_widths", "4.7"),
+    ])
+    def test_python_value_read_by_its_key_rule(self, model_path, overrides,
+                                               key, text):
+        model_path.unlink(missing_ok=True)
+        with pytest.raises(ValueError, match=f"^config key {key}: "
+                                             f"{re.escape(repr(text))} is not int$"):
+            save_model(build_model(tiny_config(**overrides)), model_path)
+        assert not model_path.exists()
+
+    def test_value_read_as_its_text_reads(self):
+        cfg = tiny_config(n_leads=np.int64(2), widths=[np.uint8(4), 8],
+                          gamma_init=2, double_softmax=1)
+        assert cfg == tiny_config(n_leads=2, widths=(4, 8), gamma_init=2.0,
+                                  double_softmax=True)
+        values = (cfg.n_leads, cfg.gamma_init, cfg.double_softmax,
+                  cfg.stage_widths, *cfg.stage_widths)
+        assert [type(v) for v in values] == [int, float, bool, tuple, int, int]
+
+    def test_empty_width_list_gets_the_stage_count_message(self):
+        with pytest.raises(ValueError, match=r"^stage_widths must list 1 to 4 "
+                                             r"stages, got \(\)$"):
+            ModelConfig.from_text("n_classes=3\nstage_widths=\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_typed_values_refused_naming_a_field_or_survive_a_file(
+            self, model_path, data):
+        chosen = data.draw(st.sets(st.sampled_from(sorted(_TYPED_FIELDS))),
+                           label="fields")
+        drawn = {name: data.draw(_TYPED_FIELDS[name], label=name)
+                 for name in sorted(chosen)}
+        kwargs = {"n_classes": 3, "input_length": 32, "stage_widths": (2, 4)}
+        kwargs.update({name: value for name, (value, _) in drawn.items()})
+        wrong = {name for name, (_, bad) in drawn.items() if bad}
+        try:
+            cfg = ModelConfig(**kwargs)
+        except ValueError as exc:
+            assert re.match(r"config key (\w+): ", str(exc))[1] in wrong, exc
+            return
+        assert not wrong
+        for name, value in kwargs.items():
+            expect = tuple(value) if name == "stage_widths" else value
+            assert getattr(cfg, name) == expect, name
+        save_model(build_model(cfg), model_path)
+        assert load_model(model_path).config == cfg
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError,
@@ -785,6 +891,30 @@ class TestPersistence:
         path.write_bytes(raw)
         load_model(path)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("precision", ["real64", "real32"])
+    def test_non_finite_entry_refused_naming_it_before_building(
+            self, tmp_path, monkeypatch, value, precision):
+        import scdnn.model
+
+        name = "stage1.block1.conv1.weight"
+        m = build_model(tiny_config(precision=precision), seed=9)
+        m.named_parameters()[name].data.flat[5] = value
+        path = tmp_path / "model.scdn"
+        save_model(m, path)
+        built = []
+        monkeypatch.setattr(scdnn.model, "build_model",
+                            lambda *a, **k: built.append(a) or build_model(*a, **k))
+        with pytest.raises(ModelIOError, match=f"^entry '{name}' holds a "
+                                               f"non-finite value at offset "
+                                               f"\\d+$") as info:
+            load_model(path)
+        assert built == []
+        offset = int(str(info.value).rsplit(" ", 1)[1])
+        little_endian = np.dtype(m.config.dtype).newbyteorder("<")
+        stored = np.frombuffer(path.read_bytes(), little_endian, 1, offset)[0]
+        assert stored == value or (np.isnan(stored) and np.isnan(value))
 
     def test_loaded_model_rejects_mismatched_leads(self, tmp_path):
         m = build_model(tiny_config(), seed=9)

@@ -73,6 +73,17 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=f"{field} must be {rule}, got"):
             Hyperparams(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5),
+                                              ("batch_size", True)])
+    def test_python_value_read_by_its_field_rule(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"^config key {field}: '{value}' is not int$"):
+            Hyperparams(**{field: value})
+
+    def test_integral_learning_rate_reads_as_float(self):
+        h = Hyperparams(lr=1)
+        assert h.lr == 1.0 and type(h.lr) is float
+
     def test_bounds_admit_their_edges(self):
         h = Hyperparams(weight_decay=0.0, lr_drop_epoch=0, seed=0)
         assert (h.weight_decay, h.lr_drop_epoch, h.seed) == (0.0, 0, 0)
