@@ -31,7 +31,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .autodiff import ShapeError, Tensor
-from .data import _Cursor, _write_whole
+from .data import _Cursor, _u16_text, _write_whole
 from .layers import (
     BatchNorm1d,
     Conv1d,
@@ -141,7 +141,7 @@ class ModelConfig:
     count (1 to 4). SATSE blocks sit on the outputs of the first
     `satse_blocks` stages; a count past the last stage builds no more.
     `precision` "real32" keeps the model in float32, spectral blocks
-    included: they transform in complex64 on numpy >= 2.
+    included: they transform in complex64.
     """
 
     n_classes: int
@@ -470,9 +470,7 @@ def save_model(model, path):
     entries = list(_entries(model))
     chunks.append(struct.pack("<I", len(entries)))
     for name, arr in entries:
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
+        chunks.append(_u16_text(name, "entry name"))
         code = _DTYPE_CODES[arr.dtype]
         chunks.append(struct.pack("<BB", code, arr.ndim))
         for d in arr.shape:
@@ -497,7 +495,7 @@ def _read_entries(r):
         code, rank = r.u8("dtype code"), r.u8("rank")
         if code not in _CODE_DTYPES:
             raise ModelIOError(f"unknown dtype code {code} for entry {name!r}")
-        if rank > 32:  # numpy 1.x's ndarray limit; numpy 2 allows 64
+        if rank > 32:  # the format's bound, below numpy's own limit of 64
             raise ModelIOError(f"entry {name!r} has rank {rank} at offset "
                                f"{r.offset - 1}; the limit is 32")
         shape = tuple(r.u32("dim") for _ in range(rank))

@@ -170,7 +170,7 @@ class SatseBlock:
         kernel = weight * gain
         fold = (kernel[:, :half] + np.conj(kernel[:, -np.arange(half) % length])) / 2
         out = x.data + np.fft.irfft(np.fft.rfft(x.data, axis=-1) * fold, n=length,
-                                    axis=-1).astype(x.dtype, copy=False)
+                                    axis=-1)
 
         def backward(g):
             gspec = np.fft.rfft(g, axis=-1)
@@ -187,12 +187,9 @@ class SatseBlock:
             dweight = dkernel * gain
             dgain = (dkernel * np.conj(weight)).real.sum(axis=0)
             darg = dgain * (lam_high - lam_low) * high * low
-            grads = (dx, -gamma * length * darg.sum(), (darg * offset).sum(),
-                     dweight.real, dweight.imag, (dgain * low).sum(),
-                     (dgain * high).sum())
-            # cast like the output: numpy 1.x transforms float32 in double
-            return tuple(None if d is None else np.asarray(d, p.dtype)
-                         for d, p in zip(grads, parents))
+            return (dx, -gamma * length * darg.sum(), (darg * offset).sum(),
+                    dweight.real, dweight.imag, (dgain * low).sum(),
+                    (dgain * high).sum())
 
         parents = (x, self.phi, self.gamma, self.weight_re, self.weight_im,
                    self.lambda_low, self.lambda_high)

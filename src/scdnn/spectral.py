@@ -20,20 +20,12 @@ import numpy as np
 __all__ = ["dft", "idft"]
 
 
-def _complex(out, x):
-    """`out` in complex64 for float32 or complex64 `x`, else in complex128:
-    numpy 1.x computes np.fft in double precision."""
-    single = x.dtype in (np.float32, np.complex64)
-    return out.astype(np.complex64 if single else np.complex128, copy=False)
-
-
 def dft(x):
     """Unnormalized forward transform along the last axis."""
-    x = np.asarray(x)
-    return _complex(np.fft.fft(x), x)
+    return np.fft.fft(x)
 
 
 def idft(x):
     """Inverse transform along the last axis, carrying the 1/L normalization."""
     x = np.asarray(x)
-    return _complex(np.fft.ifft(x, norm="forward"), x) / x.shape[-1]
+    return np.fft.ifft(x, norm="forward") / x.shape[-1]

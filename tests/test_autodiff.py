@@ -55,6 +55,13 @@ class TestForwardEval:
         with pytest.raises(ShapeError, match="matmul"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("data, dtype", [(["a", "b"], "<U1"),
+                                             ([None], "object")],
+                             ids=["strings", "objects"])
+    def test_unsupported_dtype_rejected(self, data, dtype):
+        with pytest.raises(TypeError, match=f"^unsupported tensor dtype {dtype}$"):
+            Tensor(data)
+
 
 class TestBackward:
     def test_square(self):

@@ -111,6 +111,20 @@ class TestContainer:
         with pytest.raises(ValueError, match="unknown record 'b'"):
             EcgDataset(records, ["x", "y"], 1, {"a": "train", "b": "test"})
 
+    @pytest.mark.parametrize("n_leads, label, message", [
+        (1, 2, "record 'a' labelled 2, but only 2 classes are declared"),
+        (2, 0, "record 'a' has 2 leads, dataset declares 1"),
+    ], ids=["label", "leads"])
+    def test_record_that_does_not_fit_the_dataset_rejected(self, n_leads, label,
+                                                           message):
+        records = [EcgRecord(np.zeros((n_leads, 4), np.float32), label, "a")]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EcgDataset(records, ["x", "y"], 1)
+
+    def test_records_in_unknown_split_rejected(self):
+        with pytest.raises(ValueError, match="^unknown split 'trian'$"):
+            small_dataset().records_in("trian")
+
     @pytest.mark.parametrize("what", ["class name", "record id"])
     def test_text_not_utf8_reports_offset(self, tmp_path, what):
         path = tmp_path / "d.ecgb"
@@ -156,6 +170,17 @@ class TestContainer:
         with pytest.raises(EcgbFormatError, match="label 2 names no class") as err:
             read_ecgb(path)
         assert err.value.offset == 26
+
+    def test_bad_split_code_reports_offset(self, tmp_path):
+        path = tmp_path / "d.ecgb"
+        write_ecgb(small_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        assert raw[28] == 0  # rec0 is in train
+        raw[28] = 3
+        path.write_bytes(bytes(raw))
+        with pytest.raises(EcgbFormatError, match="bad split code 3") as err:
+            read_ecgb(path)
+        assert err.value.offset == 28
 
     @pytest.mark.parametrize("field, names, n_leads, record_id", [
         ("n_classes", [str(c) for c in range(65536)], 1, "a"),
@@ -328,6 +353,16 @@ class TestStratifiedSplit:
             train = sum(out.splits[i] == "train" for i in ids)
             assert abs(train - 0.8 * size) <= 1.0
             assert train >= 1
+
+    def test_class_left_without_train_gets_one_from_the_largest_split(self):
+        # largest remainder splits each class of 3 records (0, 2, 1) at
+        # these fractions; one record moves from val into train
+        ds = synth_generate(3, 2, length=32, seed=1)
+        out = stratified_split(ds, (0.1, 0.45, 0.45), seed=0)
+        for cls in (0, 1):
+            split_of = sorted(out.splits[r.record_id] for r in out.records
+                              if r.label == cls)
+            assert split_of == ["test", "train", "val"]
 
     def test_fractions_must_sum_to_one(self):
         ds = synth_generate(5, 2, length=32, seed=1)

@@ -85,6 +85,11 @@ class TestConv1d:
         with pytest.raises(ShapeError, match="kernel .* stride .* padding"):
             conv1d(x, w, stride, padding)
 
+    def test_input_without_batch_axis_rejected(self):
+        with pytest.raises(ShapeError, match=r"^conv1d expects a \(B, C, L\) "
+                                             r"input, got \(2, 8\)$"):
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))))
+
     def test_channel_mismatch_fails(self):
         with pytest.raises(ShapeError, match="channels"):
             conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 3))))
@@ -292,6 +297,15 @@ class TestBatchNorm:
     def test_batch_of_one_rejected_in_train(self):
         with pytest.raises(ValueError, match="batch size"):
             BatchNorm1d(2).forward(Tensor(np.zeros((1, 2, 4))), "train")
+
+    @pytest.mark.parametrize("channels, mode, error, message", [
+        (2, "test", ValueError, "^unknown batchnorm mode 'test'$"),
+        (3, "train", ShapeError, "^batchnorm: input has 3 channels, layer has 2$"),
+    ], ids=["mode", "channels"])
+    def test_unknown_mode_or_channel_count_rejected(self, channels, mode, error,
+                                                    message):
+        with pytest.raises(error, match=message):
+            BatchNorm1d(2).forward(Tensor(np.zeros((2, channels, 4))), mode)
 
     def test_eval_is_affine_and_batch_free(self):
         rng = np.random.default_rng(6)
@@ -945,6 +959,18 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="label"):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
+    @pytest.mark.parametrize("logits_shape, labels, error, message", [
+        ((2, 3, 1), [0, 1], ShapeError,
+         r"^cross_entropy expects \(B, n_classes\) logits, got \(2, 3, 1\)$"),
+        ((2, 3), [0, 1, 2], ShapeError,
+         r"^cross_entropy: 2 rows but labels shape \(3,\)$"),
+        ((2, 3), [0.0, 1.0], TypeError, "^labels must be integer class indices$"),
+    ], ids=["logits_rank", "labels_shape", "labels_dtype"])
+    def test_malformed_logits_or_labels_rejected(self, logits_shape, labels,
+                                                 error, message):
+        with pytest.raises(error, match=message):
+            cross_entropy(Tensor(np.zeros(logits_shape)), np.array(labels))
+
     def test_softmax_rows_sum_to_one_and_differentiate(self):
         rng = np.random.default_rng(15)
         z = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -973,6 +999,15 @@ class TestLinear:
         np.testing.assert_allclose(
             out.data, x @ layer.weight.data.T + layer.bias.data, atol=1e-14
         )
+
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 4, 1), r"^linear expects a \(B, n_in\) input, got \(2, 4, 1\)$"),
+        ((2, 5), "^linear: input width 5 != weight width 4$"),
+    ], ids=["rank", "width"])
+    def test_input_of_another_rank_or_width_rejected(self, shape, message):
+        layer = Linear(4, 3, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeError, match=message):
+            layer.forward(Tensor(np.zeros(shape)))
 
     def test_gradients(self):
         rng = np.random.default_rng(17)

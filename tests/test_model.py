@@ -117,6 +117,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(n_classes=2, fixed_phi=1.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_leads": 0}, "^n_leads must be positive$"),
+        ({"input_length": MIN_INPUT_LENGTH - 1},
+         f"^input_length must be at least {MIN_INPUT_LENGTH}$"),
+    ], ids=["n_leads", "input_length"])
+    def test_lead_count_and_input_length_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(n_classes=2, **kwargs)
+
     @pytest.mark.parametrize("widths", [(0, 8), (4, 0), (-2, 8)])
     def test_stage_width_below_one_rejected(self, widths):
         with pytest.raises(ValueError, match="stage widths must be at least 1"):
@@ -393,6 +402,11 @@ class TestBuild:
                              row.lam_high[s]) for row in rows)
             assert first == (phi, gamma, 0.0, 0.0)
             assert (after == first) == (s >= min(count, n_stages))
+
+    def test_unset_input_length_refused(self):
+        with pytest.raises(ValueError, match="^config.input_length must be set "
+                                             "before building$"):
+            build_model(ModelConfig(n_classes=2))
 
     def test_unsupported_backbone_fails(self):
         with pytest.raises(ValueError, match="backbone"):

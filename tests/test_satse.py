@@ -15,7 +15,6 @@ from reference_ops import (
     sigmoid,
     sub,
 )
-from scdnn import satse
 from scdnn.autodiff import ShapeError, Tensor, grad_check
 from scdnn.layers import cross_entropy, linear
 from scdnn.satse import (
@@ -286,6 +285,11 @@ class TestSatseForward:
         with pytest.raises(ShapeError, match="satse"):
             block.forward(Tensor(np.zeros((1, 3, 8))))
 
+    def test_input_without_batch_axis_rejected(self):
+        with pytest.raises(ShapeError, match=r"^satse expects a \(B, C, L\) "
+                                             r"input, got \(3, 16\)$"):
+            SatseBlock(3, 16).forward(Tensor(np.zeros((3, 16))))
+
     def test_output_shape_preserved(self):
         block = SatseBlock(2, 10)
         out = block.forward(Tensor(np.random.default_rng(7).normal(size=(4, 2, 10))))
@@ -452,39 +456,3 @@ class TestReal32:
             block.weight_im.data[:] = np.linspace(-1, 1, 72).reshape(3, 24)
             outs.append(block.forward(Tensor(x.astype(dtype))).data)
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-5)
-
-    def test_float32_block_under_double_precision_transforms(self, monkeypatch):
-        # numpy 1.x transforms float32 input in double precision; the block's
-        # output and every gradient its VJP returns must still be float32.
-        def in_double(transform):
-            def run(a, *args, **kwargs):
-                a = np.asarray(a)
-                return transform(a.astype(np.result_type(a, np.float64)),
-                                 *args, **kwargs)
-            return run
-
-        for name in ("rfft", "irfft"):
-            monkeypatch.setattr(np.fft, name, in_double(getattr(np.fft, name)))
-        assert np.fft.rfft(np.ones(4, np.float32)).dtype == np.complex128
-        vjps, node = [], satse._node
-
-        def recording(data, parents, backward_fn):
-            def backward(g):
-                grads = backward_fn(g)
-                vjps.extend(d.dtype for d in grads if d is not None)
-                return grads
-            return node(data, parents, backward)
-
-        monkeypatch.setattr(satse, "_node", recording)
-        rng = np.random.default_rng(13)
-        block = SatseBlock(3, 20, phi_init=0.3, gamma_init=1.5,
-                           lambda_init=0.5, dtype=np.float32)
-        block.weight_im.data += rng.normal(size=(3, 20)).astype(np.float32)
-        x = Tensor(rng.normal(size=(2, 3, 20)).astype(np.float32),
-                   requires_grad=True)
-        out = block.forward(x)
-        assert out.dtype == np.float32
-        (out * Tensor(rng.normal(size=(2, 3, 20)).astype(np.float32))).sum().backward()
-        assert vjps == [np.dtype(np.float32)] * 7
-        for name, leaf in dict(block.parameters(), x=x).items():
-            assert leaf.grad.dtype == np.float32, name

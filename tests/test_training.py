@@ -214,6 +214,20 @@ class TestTrainLoop:
         log = train(model, ds, hyper)
         assert log.rows[5].loss < log.rows[0].loss
 
+    def test_trace_callback_gets_each_epoch_row_as_logged(self):
+        seen = []
+
+        def callback(row):
+            assert row.epoch == len(seen)  # once per epoch, in order
+            seen.append(row)
+
+        ds = toy_dataset()
+        model = build_model(tiny_config(), seed=0)
+        hyper = Hyperparams(epochs=3, batch_size=16, lr_drop_epoch=2, seed=0)
+        log = train(model, ds, hyper, trace_callback=callback)
+        assert len(seen) == len(log.rows) == 3
+        assert all(a is b for a, b in zip(seen, log.rows))
+
     def test_missing_train_split_fails(self):
         ds = synth_generate(4, 3, length=64, seed=0)  # no splits assigned
         with pytest.raises(ValueError, match="train"):
@@ -337,6 +351,21 @@ class TestReal32Guard:
         predict(model, ds.records_in("test"), batch_size=32)
         assert len(outputs) > n_train
         assert set(outputs) == set(vjps) == {np.dtype(np.float32)}
+
+    def test_real32_model_learns_to_the_c05_bar(self):
+        # test_c05_end_to_end_learning's data, bar and seed in real32, at a
+        # size and learning rate that train in seconds
+        seed = 2024
+        ds = synth_generate([80, 60, 60], 3, n_leads=12, length=256,
+                            noise_std=0.05, seed=seed)
+        ds = stratified_split(ds, (0.75, 0.125, 0.125), seed=seed)
+        config = tiny_config(input_length=256, widths=(8, 16, 32, 64),
+                             precision="real32")
+        model = build_model(config, seed=seed)
+        train(model, ds, Hyperparams(epochs=8, lr=1e-3, seed=seed))
+        params = model.named_parameters().values()
+        assert {p.data.dtype for p in params} == {np.dtype(np.float32)}
+        assert evaluate(model, ds, "test").macro_f1 >= 0.90
 
 
 class TestMetrics:
@@ -546,6 +575,12 @@ class TestAblation:
         with pytest.raises(ValueError, match=message):
             run_ablation(tiny_config(), axis, values, ds,
                          Hyperparams(epochs=1, batch_size=8))
+
+    def test_no_repeats_rejected(self):
+        ds = toy_dataset(n_per_class=4)
+        with pytest.raises(ValueError, match="^repeats must be at least 1$"):
+            run_ablation(tiny_config(), "satse_count", [1], ds,
+                         Hyperparams(epochs=1, lr_drop_epoch=1), repeats=0)
 
     def test_unknown_axis_rejected(self):
         ds = toy_dataset(n_per_class=4)
