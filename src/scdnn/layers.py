@@ -41,6 +41,11 @@ def fan_in_uniform(rng, shape, fan_in, dtype=np.float64):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _window_out_len(length, kernel, stride, padding):
+    """Output length of a window op: conv or max pool over padded input."""
+    return (length + 2 * padding - kernel) // stride + 1
+
+
 def _window_taps(op, length, kernel, stride, padding):
     """Output length of a padded window op, and for each tap t the output
     columns [j0, j1) whose index j*stride + t - padding lands inside the
@@ -50,7 +55,7 @@ def _window_taps(op, length, kernel, stride, padding):
             f"{op}: kernel {kernel} and stride {stride} must be >= 1 and "
             f"padding {padding} >= 0"
         )
-    l_out = (length + 2 * padding - kernel) // stride + 1
+    l_out = _window_out_len(length, kernel, stride, padding)
     if l_out < 1:
         raise ShapeError(
             f"{op}: output length {l_out} < 1 for input length {length}, "
@@ -155,13 +160,15 @@ class BatchNorm1d:
         a = scale / sqrt(var + eps) = scale * inv,   b = shift - mean * a,
 
     where the residual term is dropped when `residual` is None and the relu
-    when `relu` is false. The backward is closed form. With N = batch * length,
-    every sum over batch and length, and g' = g * (out > 0) under relu (the
-    mask is read from the output, so no pre-activation array is kept), else
+    when `relu` is false. With `residual_bn` (a projection shortcut's batch
+    norm) the residual term is its map residual * a_p + b_p, a temporary of
+    this node. The backward is closed form. With N = batch * length, every
+    sum over batch and length, and g' = g * (out > 0) under relu (the mask
+    is read from the output, so no pre-activation array is kept), else
     g' = g:
 
         dshift = sum(g'),   dscale = inv * sum(g' * (x - mean)),
-        dresidual = g',
+        dresidual = g',     or residual_bn's dx, dscale, dshift for g',
         dx = a * g'                                  (eval)
         dx = a * g' + c1 * (x - mean) + c0           (train)
         c1 = -a * inv * dscale / N,   c0 = -a * dshift / N.
@@ -213,11 +220,17 @@ class BatchNorm1d:
         return mean, inv, a, self.shift.data[:, None] - mean * a
 
     def forward(self, x, mode="train", update_running=None, residual=None,
-                relu=False):
+                relu=False, residual_bn=None):
         mean, inv, a, b = self._affine(x, mode, update_running)
         out = x.data * a
         out += b
-        if residual is not None:
+        if residual_bn is not None:
+            mean_p, inv_p, a_p, b_p = residual_bn._affine(residual, mode,
+                                                          update_running)
+            shortcut = residual.data * a_p
+            shortcut += b_p
+            out += shortcut
+        elif residual is not None:
             out += residual.data
         if relu:
             np.maximum(out, 0.0, out=out)
@@ -226,11 +239,16 @@ class BatchNorm1d:
             if relu:
                 g = g * (out > 0)
             grads = _batchnorm_vjp(x, g, mean, inv, a, mode)
+            if residual_bn is not None:
+                return grads + _batchnorm_vjp(residual, g, mean_p, inv_p, a_p,
+                                              mode)
             return grads if residual is None else grads + (g,)
 
         parents = (x, self.scale, self.shift)
         if residual is not None:
             parents += (residual,)
+        if residual_bn is not None:
+            parents += (residual_bn.scale, residual_bn.shift)
         return _node(out, parents, backward)
 
 

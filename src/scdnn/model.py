@@ -7,10 +7,10 @@ Architecture, front to back:
             [-> maxpool(k=3, stride=2, pad=1) when enabled]
     stages: basic or bottleneck residual blocks per backbone depth;
             stages after the first downsample by stride 2 with a 1x1
-            projection shortcut
-            (a block's last batchnorm+shortcut+relu is one autodiff node,
-            see BatchNorm1d; every other batchnorm+relu is one with the
-            conv or max-pool it feeds, see bn_relu_then)
+            projection shortcut (a block's last batchnorm, its shortcut,
+            the projection's batchnorm included, and relu are one autodiff
+            node, see BatchNorm1d; every other batchnorm+relu is one with
+            the conv or max-pool it feeds, see bn_relu_then)
     per stage: optional SATSE block on the stage output
     head:   [avg-pool, max-pool] over length, one autodiff node
             (see pooled_features) -> linear -> logits
@@ -36,6 +36,7 @@ from .layers import (
     BatchNorm1d,
     Conv1d,
     Linear,
+    _window_out_len,
     bn_relu_then,
     max_pool1d,
     pooled_features,
@@ -236,10 +237,6 @@ def tiny_config(n_classes=3, n_leads=12, input_length=64, widths=(4, 8),
                        input_length=input_length, stage_widths=widths, **overrides)
 
 
-def _conv_out_len(length, kernel, stride, padding):
-    return (length + 2 * padding - kernel) // stride + 1
-
-
 class _ResidualBlock:
     """Conv/batchnorm pairs plus a shortcut, summed and passed through relu.
 
@@ -249,7 +246,8 @@ class _ResidualBlock:
     (bn_relu_then) but the last, which adds the shortcut first, so k pairs
     are 1 conv, k - 1 fused batchnorm-conv and 1 fused batchnorm node. A 1x1
     projection with batchnorm (no relu) replaces the identity shortcut when
-    the stride or the channel count changes.
+    the stride or the channel count changes; that last node runs its
+    batchnorm too (BatchNorm1d's `residual_bn`), so it adds one conv node.
     """
 
     def __init__(self, kind, c_in, width, stride, rng, dtype):
@@ -270,16 +268,16 @@ class _ResidualBlock:
                          BatchNorm1d(c, dtype=dtype))
 
     def forward(self, x, mode, update_running):
-        shortcut = x
+        shortcut, proj_bn = x, None
         if self.proj is not None:
-            conv, bn = self.proj
-            shortcut = bn.forward(conv.forward(x), mode, update_running)
+            conv, proj_bn = self.proj
+            shortcut = conv.forward(x)
         h = self.pairs[0][0].forward(x)
         for (_, bn), (conv, _) in zip(self.pairs, self.pairs[1:]):
             h = bn_relu_then(h, bn, conv.forward, mode, update_running)
         # Positional, so that wrappers forwarding *args pass them on.
         return self.pairs[-1][1].forward(h, mode, update_running, shortcut,
-                                         True)
+                                         True, proj_bn)
 
     def named_layers(self):
         out = {}
@@ -306,9 +304,9 @@ class ScdnnModel:
                                 dtype=dtype)
         self.stem_bn = BatchNorm1d(widths[0], dtype=dtype)
 
-        length = _conv_out_len(config.input_length, 7, 2, 3)
+        length = _window_out_len(config.input_length, 7, 2, 3)
         if config.stem_maxpool:
-            length = _conv_out_len(length, 3, 2, 1)
+            length = _window_out_len(length, 3, 2, 1)
 
         self.stages = []
         self.satse = []
@@ -321,7 +319,7 @@ class ScdnnModel:
                 blocks.append(_ResidualBlock(kind, c_in, width,
                                              stride if b == 0 else 1, rng, dtype))
                 c_in = blocks[-1].c_out
-            length = _conv_out_len(length, 3, stride, 1)
+            length = _window_out_len(length, 3, stride, 1)
             self.stages.append(blocks)
             self.stage_shapes.append((c_in, length))
             if s < config.satse_blocks:
@@ -434,9 +432,8 @@ class ScdnnModel:
                 rows.append((self.config.initial_phi, self.config.gamma_init,
                              0.0, 0.0))
             else:
-                r = sat.report()
-                rows.append((r["phi"], r["gamma"], r["lambda_low"],
-                             r["lambda_high"]))
+                rows.append(tuple(float(p.data) for p in (
+                    sat.phi, sat.gamma, sat.lambda_low, sat.lambda_high)))
         return rows
 
     def zero_grad(self):

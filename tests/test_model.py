@@ -13,7 +13,7 @@ from byte_edits import edited
 from reference_ops import add
 from scdnn.autodiff import ShapeError, Tensor
 from scdnn.data import stratified_split, synth_generate
-from scdnn.layers import BatchNorm1d, cross_entropy, relu
+from scdnn.layers import BatchNorm1d, bn_relu_then, cross_entropy, relu
 from scdnn.model import (
     BACKBONES,
     MIN_INPUT_LENGTH,
@@ -484,6 +484,76 @@ class TestResidualBlock:
         got = block.forward(x, "train", False).data
         np.testing.assert_array_equal(got, expect)
 
+    @pytest.mark.parametrize("kind", ["basic", "bottleneck"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_projection_batchnorm_in_the_last_node_is_bitwise(self, kind, mode,
+                                                              dtype):
+        # A downsampling block against a copy run with the projection's
+        # batchnorm as a node of its own, its output added as a plain
+        # residual: the output, every leaf gradient and every running
+        # statistic match bit for bit.
+        def built():
+            block = _ResidualBlock(kind, 4, 3, 2, np.random.default_rng(5),
+                                   dtype)
+            rng = np.random.default_rng(6)  # batchnorms off their init
+            for layer in block.named_layers().values():
+                if isinstance(layer, BatchNorm1d):
+                    layer.scale.data[:] = rng.uniform(0.5, 1.5, layer.channels)
+                    layer.shift.data[:] = rng.normal(size=layer.channels)
+                    layer.running_mean[:] = rng.normal(size=layer.channels)
+                    layer.running_var[:] = rng.uniform(0.5, 2, layer.channels)
+            return block
+
+        def composed(block, x):
+            conv_p, bn_p = block.proj
+            shortcut = bn_p.forward(conv_p.forward(x), mode, update)
+            h = block.pairs[0][0].forward(x)
+            for (_, bn), (conv, _) in zip(block.pairs, block.pairs[1:]):
+                h = bn_relu_then(h, bn, conv.forward, mode, update)
+            return block.pairs[-1][1].forward(h, mode, update, shortcut, True)
+
+        def run(block, forward):
+            x = Tensor(xdata, requires_grad=True)
+            out = forward(x)
+            (out * Tensor(upstream)).sum().backward()
+            arrays = {"out": out.data, "x.grad": x.grad}
+            for name, layer in block.named_layers().items():
+                for attr in ("weight", "scale", "shift"):
+                    if hasattr(layer, attr):
+                        arrays[f"{name}.{attr}.grad"] = getattr(layer, attr).grad
+                for attr in ("running_mean", "running_var"):
+                    if hasattr(layer, attr):
+                        arrays[f"{name}.{attr}"] = getattr(layer, attr)
+            return arrays
+
+        rng = np.random.default_rng(7)
+        update = mode == "train"
+        fused, unfused = built(), built()
+        xdata = rng.normal(size=(3, 4, 10)).astype(dtype)
+        upstream = rng.normal(size=(3, fused.c_out, 5)).astype(dtype)
+        got = run(fused, lambda x: fused.forward(x, mode, update))
+        expect = run(unfused, lambda x: composed(unfused, x))
+        assert got.keys() == expect.keys() and "proj_bn.scale.grad" in got
+        for name, arr in expect.items():
+            assert got[name].dtype == arr.dtype == dtype, name
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+
+def _graph(root):
+    """The count of nodes reachable from `root`, and its interior nodes'
+    outputs."""
+    seen, stack, held = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if node._parents:
+            held.append(node.data)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen), held
+
 
 class TestForward:
     def test_shape_and_finiteness(self, tiny_model):
@@ -528,54 +598,53 @@ class TestForward:
             m.forward(x, "eval")
 
     def test_training_graph_node_count(self):
-        # 86 parameter leaves, the input and 39 interior nodes: 9 nodes of a
+        # 86 parameter leaves, the input and 36 interior nodes: 9 nodes of a
         # batchnorm, its relu and the layer it feeds (the stem max-pool, and
-        # each block's second conv), the other 12 convs and 11 batchnorms
-        # (8 ending a block, with the shortcut add and relu fused in, and
-        # 3 projections), 4 SATSE blocks, the pooled head features (average
-        # and max in one node), the head and the loss.
+        # each block's second conv), the other 12 convs, 8 batchnorms ending
+        # a block, with the shortcut add and relu fused in (and in 3 of
+        # them the projection's batchnorm), 4 SATSE blocks, the pooled head
+        # features (average and max in one node), the head and the loss.
         m = build_model(ModelConfig(n_classes=4, input_length=128,
                                     stage_widths=(4, 8, 12, 16)), seed=3)
         x = np.random.default_rng(0).normal(size=(4, 12, 128))
-        loss = cross_entropy(m.forward(x, "train"), np.arange(4))
-        seen, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                stack.extend(node._parents)
+        nodes, _ = _graph(cross_entropy(m.forward(x, "train"), np.arange(4)))
         assert len(m.named_parameters()) == 86
-        assert len(seen) == 126
+        assert nodes == 123
 
     def test_training_tape_holds_no_batchnorm_relu_output(self):
         # The interior nodes of a tiny resnet18's training graph, batch 2:
         # widths 4 and 8, L = 64, stem max-pool on, both SATSE blocks on.
         # A batchnorm-relu output that feeds only a conv or the max-pool is
-        # recomputed in backward, so no node holds one.
+        # recomputed in backward, and the projection's batchnorm runs inside
+        # its block's last node, so no node holds either output.
         m = build_model(tiny_config(), seed=3)
         x = np.random.default_rng(0).normal(size=(2, 12, 64))
-        loss = cross_entropy(m.forward(x, "train"), np.arange(2))
-        seen, stack, held = {id(loss)}, [loss], []
-        while stack:
-            node = stack.pop()
-            if node._parents:
-                held.append(node.data)
-            for p in node._parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append(p)
+        _, held = _graph(cross_entropy(m.forward(x, "train"), np.arange(2)))
         expect = (
             [(2, 4, 32), (2, 4, 16)]  # stem conv; batchnorm-relu-max-pool
             # stage 1, per block: conv1, batchnorm-relu-conv2, batchnorm
             # with shortcut and relu; then SATSE
             + [(2, 4, 16)] * (2 * 3 + 1)
-            # stage 2: projection conv and batchnorm, two blocks, SATSE
-            + [(2, 8, 8)] * (2 + 2 * 3 + 1)
+            # stage 2: projection conv, two blocks, SATSE
+            + [(2, 8, 8)] * (1 + 2 * 3 + 1)
             + [(2, 16), (2, 3), ()]  # pooled features, logits, loss
         )
         assert sorted(a.shape for a in held) == sorted(expect)
         assert sum(a.nbytes for a in held) == 8 * sum(
             math.prod(shape) for shape in expect)
+
+    def test_benchmark_training_step_graph_counts(self):
+        # The shape of the benchmark's train-L1000 step: batch 32, 12 leads,
+        # L = 1000, widths 16,32,64,128, 4 classes, 4 SATSE blocks. Unlike
+        # RSS these counts repeat on every host. They were 126 nodes and
+        # 38 249 480 bytes with each projection batchnorm a node of its own.
+        m = build_model(ModelConfig(n_classes=4, input_length=1000,
+                                    stage_widths=(16, 32, 64, 128)), seed=1)
+        x = np.random.default_rng(0).normal(size=(32, 12, 1000))
+        nodes, held = _graph(
+            cross_entropy(m.forward(x, "train"), np.arange(32) % 4))
+        assert nodes == 123
+        assert sum(a.nbytes for a in held) == 35_144_712
 
     def test_train_mode_updates_running_stats_eval_does_not(self):
         m = build_model(tiny_config(), seed=2)
